@@ -75,11 +75,11 @@ int main(int argc, char** argv) {
               m.avg_packet_latency(),
               theory::zero_load_latency_limit_mixed(k));
   std::printf("  unicast requests       : %.2f cycles\n",
-              m.latency_stat(PacketKind::UnicastRequest).mean());
+              m.latency_hist(PacketKind::UnicastRequest).mean());
   std::printf("  unicast responses      : %.2f cycles\n",
-              m.latency_stat(PacketKind::UnicastResponse).mean());
+              m.latency_hist(PacketKind::UnicastResponse).mean());
   std::printf("  broadcasts (to last)   : %.2f cycles\n",
-              m.latency_stat(PacketKind::Broadcast).mean());
+              m.latency_hist(PacketKind::Broadcast).mean());
   std::printf("received throughput      : %.1f Gb/s (limit %.0f)\n",
               m.received_flits_per_cycle() * 64.0,
               theory::aggregate_throughput_limit_gbps(k));

@@ -49,7 +49,7 @@ class ActiveList {
   /// inserted during the sweep are not visited this pass (they joined for
   /// the next cycle). Visit order is insertion order and compaction is
   /// stable, but callers must not depend on it: all per-entry work this
-  /// list carries is order-independent (see Network::step_gated).
+  /// list carries is order-independent (see Network::span_compute).
   template <typename Keep>
   void sweep(Keep&& keep) {
     size_t w = 0;

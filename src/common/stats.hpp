@@ -1,75 +1,34 @@
 #pragma once
-// Streaming statistics used throughout the simulator and benches.
+// Integer sample statistics. Latencies in this simulator are whole cycles,
+// so their count, sum and maximum accumulate exactly: the result does not
+// depend on the order the samples arrive in.
 
 #include <cstdint>
-#include <limits>
-#include <vector>
 
 namespace noc {
 
-/// Numerically-stable running mean/variance (Welford) with min/max.
-class RunningStat {
+/// Exact {count, sum, max} over integer samples (cycle latencies).
+class IntStat {
  public:
-  void add(double x);
-  void merge(const RunningStat& other);
-  void reset();
+  void add(int64_t x) {
+    if (count_ == 0 || x > max_) max_ = x;
+    ++count_;
+    sum_ += x;
+  }
+  void reset() { *this = IntStat{}; }
 
-  int64_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  double variance() const;   // population variance
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
-
- private:
-  int64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range samples clamp to
-/// the end buckets. Supports quantile queries for latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void add(double x);
-  void reset();
-
-  int64_t count() const { return total_; }
-  double quantile(double q) const;  // q in [0,1]
-  const std::vector<int64_t>& buckets() const { return counts_; }
-  double bucket_low(int i) const;
-  double bucket_width() const { return width_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
-/// Simple rate counter: events per elapsed cycle window.
-class RateCounter {
- public:
-  void add(int64_t events = 1) { events_ += events; }
-  void set_window(int64_t cycles) { cycles_ = cycles; }
-  void reset() { events_ = 0; cycles_ = 0; }
-
-  int64_t events() const { return events_; }
-  int64_t window() const { return cycles_; }
-  double rate() const {
-    return cycles_ > 0 ? static_cast<double>(events_) /
-                             static_cast<double>(cycles_)
-                       : 0.0;
+  int64_t count() const { return count_; }
+  int64_t sum() const { return sum_; }
+  int64_t max() const { return max_; }  // 0 when empty
+  double mean() const {
+    return count_ > 0 ? static_cast<double>(sum_) / static_cast<double>(count_)
+                      : 0.0;
   }
 
  private:
-  int64_t events_ = 0;
-  int64_t cycles_ = 0;
+  int64_t count_ = 0;
+  int64_t sum_ = 0;
+  int64_t max_ = 0;
 };
 
 }  // namespace noc

@@ -85,21 +85,16 @@ PointResult measure_point(NetworkConfig cfg, double offered,
     total.response_latency_sum += s.response_latency_sum;
   }
   r.transactions = total.transactions;
-  r.avg_transaction_latency =
-      total.transactions > 0
-          ? total.latency_sum / static_cast<double>(total.transactions)
-          : 0.0;
-  r.max_transaction_latency = total.latency_max;
+  const auto mean = [](int64_t sum, int64_t n) {
+    return n > 0 ? static_cast<double>(sum) / static_cast<double>(n) : 0.0;
+  };
+  r.avg_transaction_latency = mean(total.latency_sum, total.transactions);
+  r.max_transaction_latency = static_cast<double>(total.latency_max);
   r.probe_legs = total.probe_legs;
-  r.avg_probe_latency =
-      total.probe_legs > 0
-          ? total.probe_latency_sum / static_cast<double>(total.probe_legs)
-          : 0.0;
+  r.avg_probe_latency = mean(total.probe_latency_sum, total.probe_legs);
   r.response_legs = total.response_legs;
-  r.avg_response_latency = total.response_legs > 0
-                               ? total.response_latency_sum /
-                                     static_cast<double>(total.response_legs)
-                               : 0.0;
+  r.avg_response_latency =
+      mean(total.response_latency_sum, total.response_legs);
   r.transactions_per_cycle =
       opt.window > 0
           ? static_cast<double>(total.transactions) /

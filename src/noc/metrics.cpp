@@ -19,12 +19,11 @@ void Metrics::on_logical_packet(PacketId logical_id, PacketKind kind,
                                 Cycle gen, int deliveries) {
   NOC_EXPECTS(deliveries > 0);
   if (shared_ != nullptr) {
-    // Capture shard: open-packet map churn is order-sensitive shared state;
-    // buffer the event for the serial replay after the span barrier.
-    captured_[static_cast<size_t>(capture_phase_)].push_back(
+    // Capture shard: the open-packet map is shared across nodes; buffer
+    // the event for the main thread's drain after the span barrier.
+    captured_.push_back(
         {.kind = CapturedMetricsEvent::Kind::LogicalPacket,
          .pkind = kind,
-         .node = capture_node_,
          .deliveries = deliveries,
          .id = logical_id,
          .cycle = gen});
@@ -44,10 +43,9 @@ void Metrics::on_logical_packet(PacketId logical_id, PacketKind kind,
 
 void Metrics::on_flit_received(PacketId logical_id, const Flit& f, Cycle now) {
   if (shared_ != nullptr) {
-    captured_[static_cast<size_t>(capture_phase_)].push_back(
+    captured_.push_back(
         {.kind = CapturedMetricsEvent::Kind::FlitReceived,
          .tail = is_tail(f.type),
-         .node = capture_node_,
          .id = logical_id,
          .cycle = now});
     return;
@@ -69,12 +67,8 @@ void Metrics::apply_flit_received(PacketId logical_id, bool tail, Cycle now) {
 void Metrics::on_packet_dropped(PacketId logical_id, int count, Cycle now) {
   NOC_EXPECTS(count > 0);
   if (shared_ != nullptr) {
-    // Order-sensitive like the other lifecycle events: buffer for the
-    // serial replay (NIC drops in the inject phase, router drop-branch
-    // retirements in the router phase).
-    captured_[static_cast<size_t>(capture_phase_)].push_back(
+    captured_.push_back(
         {.kind = CapturedMetricsEvent::Kind::PacketDropped,
-         .node = capture_node_,
          .deliveries = count,
          .id = logical_id,
          .cycle = now});
@@ -103,12 +97,9 @@ void Metrics::retire_if_closed(PacketId logical_id, OpenPacket* op,
   } else {
     ++total_completed_;
     if (in_window_) {
-      const Cycle lat_cycles = now - op->gen;
-      const auto lat = static_cast<double>(lat_cycles);
-      latency_all_.add(lat);
-      latency_by_kind_[static_cast<int>(op->kind)].add(lat);
-      hist_all_.add(lat_cycles);
-      hist_by_kind_[static_cast<int>(op->kind)].add(lat_cycles);
+      const Cycle lat = now - op->gen;
+      hist_all_.add(lat);
+      hist_by_kind_[static_cast<int>(op->kind)].add(lat);
       ++window_packets_completed_;
     }
     if (telemetry_ != nullptr && telemetry_->tracing(logical_id))
@@ -152,8 +143,6 @@ void Metrics::begin_window(Cycle now) {
   in_window_ = true;
   window_start_ = now;
   window_end_ = now;
-  latency_all_.reset();
-  for (auto& s : latency_by_kind_) s.reset();
   hist_all_.reset();
   for (auto& h : hist_by_kind_) h.reset();
   window_flits_received_ = 0;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
-#include "common/stats.hpp"
 #include "noc/flit.hpp"
 #include "noc/geometry.hpp"
 #include "noc/routing.hpp"
@@ -27,15 +26,17 @@ class Telemetry;
 /// of latency, pow-2 bin count, held inline so recording is a single
 /// array increment with no heap traffic. Packet latencies are integer
 /// cycle counts, so percentiles below kBins are *exact*; samples at or
-/// above kBins land in an overflow count (min/max still tracked exactly)
-/// and percentile() falls back to the observed max when the requested
-/// rank lies in the overflow region.
+/// above kBins land in an overflow count (min/max/sum still tracked
+/// exactly) and percentile() falls back to the observed max when the
+/// requested rank lies in the overflow region. Every field is an integer,
+/// so the histogram is the same whatever order its samples arrive in.
 class LatencyHistogram {
  public:
   static constexpr int kBins = 1 << 12;
 
   void add(Cycle lat) {
     ++count_;
+    sum_ += lat;
     if (lat < min_) min_ = lat;
     if (lat > max_) max_ = lat;
     if (lat >= 0 && lat < kBins)
@@ -45,13 +46,18 @@ class LatencyHistogram {
   }
   void reset() {
     bins_.fill(0);
-    count_ = overflow_ = 0;
+    count_ = overflow_ = sum_ = 0;
     min_ = std::numeric_limits<Cycle>::max();
     max_ = 0;
   }
 
   int64_t count() const { return count_; }
   int64_t overflow() const { return overflow_; }
+  int64_t sum() const { return sum_; }
+  double mean() const {
+    return count_ > 0 ? static_cast<double>(sum_) / static_cast<double>(count_)
+                      : 0.0;
+  }
   Cycle min() const { return count_ > 0 ? min_ : 0; }
   Cycle max() const { return count_ > 0 ? max_ : 0; }
   /// Smallest latency L such that at least ceil(q * count) samples are
@@ -62,6 +68,7 @@ class LatencyHistogram {
   std::array<int64_t, kBins> bins_{};
   int64_t count_ = 0;
   int64_t overflow_ = 0;
+  int64_t sum_ = 0;
   Cycle min_ = std::numeric_limits<Cycle>::max();
   Cycle max_ = 0;
 };
@@ -71,32 +78,16 @@ enum class PacketKind { UnicastRequest, UnicastResponse, Broadcast };
 constexpr int kNumPacketKinds = 3;
 
 /// One deferred packet-lifecycle event recorded by a per-span Metrics shard
-/// during parallel stepping, replayed into the shared Metrics in serial
-/// order (docs/PERF.md Layer 4). `node` is the NIC whose tick produced the
-/// event; replay walks nodes in ascending order, which reconstructs the
-/// exact serial call sequence (and therefore the exact floating-point
-/// accumulation order of the latency statistics).
+/// during parallel stepping and applied to the shared Metrics after the
+/// cycle's barrier (docs/PERF.md Layer 4).
 struct CapturedMetricsEvent {
   enum class Kind : uint8_t { LogicalPacket, FlitReceived, PacketDropped };
   Kind kind;
   bool tail = false;                             // FlitReceived
   PacketKind pkind = PacketKind::UnicastRequest; // LogicalPacket
-  NodeId node = 0;
   int deliveries = 0;  // LogicalPacket: required; PacketDropped: lost
   PacketId id = 0;
   Cycle cycle = 0;  // generation (LogicalPacket) or receive/drop cycle
-};
-
-/// Tick phases a capture shard distinguishes: events from tick_inject
-/// (submission + NIC-duplicated local deliveries + injection-side drops)
-/// replay before any router-tick event (fault-mode drop retirements),
-/// which replay before any tick_eject event -- mirroring the serial phase
-/// order exactly.
-enum : int {
-  kCaptureInject = 0,
-  kCaptureRouter = 1,
-  kCaptureEject = 2,
-  kNumCapturePhases = 3
 };
 
 class Metrics {
@@ -134,40 +125,25 @@ class Metrics {
   // A shard is a Metrics instance owned by one span worker with set_shared()
   // installed. Its per-node link counters forward straight to the shared
   // instance (disjoint nodes -> disjoint memory, race-free), while the
-  // order-sensitive packet-lifecycle events (open-packet map churn, latency
-  // RunningStat adds) are buffered as CapturedMetricsEvents and replayed by
-  // the main thread via apply() in exact serial order after the barrier.
+  // packet-lifecycle events (churn in the shared open-packet map) are
+  // buffered in emission order and applied by the main thread via apply()
+  // after the barrier. Everything they feed is an integer count, sum,
+  // maximum or histogram bin, so the drain order does not matter beyond
+  // creating a packet before its deliveries.
 
   /// Turn this instance into a capture shard of `shared` (nullptr reverts).
   void set_shared(Metrics* shared) { shared_ = shared; }
-  bool is_shard() const { return shared_ != nullptr; }
 
-  /// Pre-size the per-phase capture buffers (zero-alloc invariant: sized at
-  /// partition time for the per-cycle worst case, not grown under load).
-  void reserve_capture(size_t per_phase) {
-    for (auto& buf : captured_) buf.reserve(per_phase);
-  }
+  /// Pre-size the capture buffer (zero-alloc invariant: sized at partition
+  /// time for the per-cycle worst case, not grown under load).
+  void reserve_capture(size_t events) { captured_.reserve(events); }
 
-  /// Tag subsequent captured events with the NIC phase and node whose tick
-  /// is about to run. Shard-only.
-  void set_capture_point(int phase, NodeId node) {
-    capture_phase_ = phase;
-    capture_node_ = node;
+  const std::vector<CapturedMetricsEvent>& captured() const {
+    return captured_;
   }
+  void clear_captured() { captured_.clear(); }
 
-  const std::vector<CapturedMetricsEvent>& captured(int phase) const {
-    return captured_[static_cast<size_t>(phase)];
-  }
-  bool captured_empty() const {
-    for (const auto& buf : captured_)
-      if (!buf.empty()) return false;
-    return true;
-  }
-  void clear_captured() {
-    for (auto& buf : captured_) buf.clear();
-  }
-
-  /// Replay one captured event into this (shared) instance.
+  /// Apply one captured event to this (shared) instance.
   void apply(const CapturedMetricsEvent& e);
 
   // ---- measurement window ----
@@ -180,16 +156,13 @@ class Metrics {
   // ---- results ----
 
   /// Average latency over packets *completed* inside the window.
-  double avg_packet_latency() const { return latency_all_.mean(); }
-  const RunningStat& latency_stat() const { return latency_all_; }
-  const RunningStat& latency_stat(PacketKind k) const {
-    return latency_by_kind_[static_cast<int>(k)];
-  }
+  double avg_packet_latency() const { return hist_all_.mean(); }
 
-  /// Exact window latency histograms (docs/OBSERVABILITY.md). Always on:
-  /// recording is one inline-array increment per completed packet, and it
-  /// happens where packets retire -- on the shared instance only, after
-  /// capture replay -- so serial and parallel stepping fill identical bins.
+  /// Exact window latency histograms (docs/OBSERVABILITY.md), also the
+  /// latency count/sum/max. Always on: recording is one inline-array
+  /// increment per completed packet, and it happens where packets retire
+  /// -- on the shared instance only -- so serial and parallel stepping fill
+  /// identical bins.
   const LatencyHistogram& latency_hist() const { return hist_all_; }
   const LatencyHistogram& latency_hist(PacketKind k) const {
     return hist_by_kind_[static_cast<int>(k)];
@@ -247,9 +220,7 @@ class Metrics {
 
   const MeshGeometry& geom_;
   Metrics* shared_ = nullptr;  // non-null: this instance is a capture shard
-  int capture_phase_ = kCaptureInject;
-  NodeId capture_node_ = 0;
-  std::vector<CapturedMetricsEvent> captured_[kNumCapturePhases];
+  std::vector<CapturedMetricsEvent> captured_;
   /// Flat open-addressing map: insert/erase churn is allocation-free once
   /// the pre-reserved capacity covers the in-flight packet high-water mark.
   U64FlatMap<OpenPacket> open_{4096};
@@ -258,8 +229,6 @@ class Metrics {
   Cycle window_start_ = 0;
   Cycle window_end_ = 0;
 
-  RunningStat latency_all_;
-  RunningStat latency_by_kind_[kNumPacketKinds];
   LatencyHistogram hist_all_;
   LatencyHistogram hist_by_kind_[kNumPacketKinds];
   Telemetry* telemetry_ = nullptr;

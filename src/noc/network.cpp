@@ -1,5 +1,8 @@
 #include "noc/network.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "sim/thread_pool.hpp"
 
 namespace noc {
@@ -57,53 +60,45 @@ Network::Network(const NetworkConfig& cfg)
   // pristine networks keep the fault-free fast path, bit for bit).
   fault_state_.init(geom_, cfg.fault);
 
-  // Column-span partition for intra-network parallel stepping. The span
-  // COUNT is fixed by the config (clamped to one span per column), so
-  // results depend only on step_threads, never on how many workers the
-  // budget actually grants.
+  // Column-span partition. The span COUNT is fixed by the config (clamped
+  // to one span per column), so results depend only on step_threads, never
+  // on how many workers the budget actually grants.
   const int spans = SpanPartition::clamp_spans(geom_, cfg.step_threads);
-  if (spans > 1) {
-    part_ = SpanPartition(geom_, spans);
-    spans_.resize(static_cast<size_t>(spans));
-    for (int s = 0; s < spans; ++s) {
-      StepSpan& sp = spans_[static_cast<size_t>(s)];
-      sp.nodes = part_.nodes_of(s);
-      sp.metrics = std::make_unique<Metrics>(geom_);
-      sp.metrics->set_shared(&metrics_);
-      // Per-cycle worst case per node: one packet submission plus the local
-      // flit deliveries of a NIC-duplicated broadcast in the inject phase,
-      // one drained flit in the eject phase. 8 covers both with slack. A
-      // faulted network additionally retires router-phase drop events -- up
-      // to one per input VC per node per cycle.
-      sp.metrics->reserve_capture(
-          sp.nodes.size() *
-          (cfg.fault.empty() ? 8 : 8 + kNumPorts * kMaxTotalVcs));
-    }
+  part_ = SpanPartition(geom_, spans);
+  spans_.resize(static_cast<size_t>(spans));
+  for (int s = 0; s < spans; ++s) {
+    StepSpan& sp = spans_[static_cast<size_t>(s)];
+    sp.nodes = part_.nodes_of(s);
+    if (!sharded()) continue;
+    sp.metrics = std::make_unique<Metrics>(geom_);
+    sp.metrics->set_shared(&metrics_);
+    // Per-cycle worst case per node: 8 events in each of the inject phase
+    // (a packet submission plus the local deliveries of a NIC-duplicated
+    // broadcast), the router phase and the eject phase. A faulted network
+    // also retires router-phase drop events -- up to one per input VC.
+    sp.metrics->reserve_capture(
+        3 * sp.nodes.size() *
+        (cfg.fault.empty() ? 8 : 8 + kNumPorts * kMaxTotalVcs));
   }
   // Telemetry sink (docs/OBSERVABILITY.md). Packet-lifecycle tracing
   // appends to one shared event buffer from router/NIC hooks, which run on
   // workers under parallel stepping -- so tracing is disabled there. The
   // other probes stay on: stall rows are per-router (one worker each),
-  // histograms ride the capture-replay path, and the time series samples on
-  // the main thread after the merge.
+  // histograms are filled by the merge, and the time series samples on the
+  // main thread after it.
   if (cfg.telemetry.enabled) {
     telemetry_ = std::make_unique<Telemetry>(n, cfg.telemetry);
-    if (!spans_.empty()) telemetry_->disable_tracing();
+    if (sharded()) telemetry_->disable_tracing();
     metrics_.set_telemetry(telemetry_.get());
   }
 
-  // Each component records events into its owning span's shards; in serial
-  // mode everything points at the globals, exactly as before.
+  // Components record into their span's shards; a single span records
+  // straight into the network-wide sinks.
   auto energy_for = [&](NodeId node) {
-    return spans_.empty() ? &energy_
-                          : &spans_[static_cast<size_t>(
-                                part_.span_of_node(node))].energy;
+    return sharded() ? &span_of(node).energy : &energy_;
   };
   auto metrics_for = [&](NodeId node) {
-    return spans_.empty()
-               ? &metrics_
-               : spans_[static_cast<size_t>(part_.span_of_node(node))]
-                     .metrics.get();
+    return sharded() ? span_of(node).metrics.get() : &metrics_;
   };
 
   routers_.reserve(static_cast<size_t>(n));
@@ -152,23 +147,17 @@ Network::Network(const NetworkConfig& cfg)
   // With gating, each channel learns which component its arrivals must wake;
   // wake bits live in the receiver's owning span so every mask write during
   // a parallel step stays worker-local.
-  auto router_mask = [&](NodeId r) {
-    return spans_.empty()
-               ? &router_awake_
-               : &spans_[static_cast<size_t>(part_.span_of_node(r))]
-                      .router_awake;
-  };
   auto router_wake = [&](NodeId r) {
-    return gated ? WakeHook{router_mask(r), r} : WakeHook{};
+    return gated ? WakeHook{&span_of(r).router_awake, r} : WakeHook{};
   };
   // Per-port wake refinement (docs/PERF.md Layer 5): a channel toward
   // router r arrives at exactly one input port, so its hook also ORs that
   // port's bit into r's wake word -- the ticking router then sweeps only
   // ports with work. Channels fire during the receiver-owned channel sweep
   // (or the same node's inject phase for the latency-0 NIC lookahead), both
-  // before the router pass, so the bits are complete when r ticks; in
-  // parallel mode the channel and the word share r's span, so the raw-word
-  // OR stays worker-local.
+  // before the router pass, so the bits are complete when r ticks; the
+  // channel and the word share r's span, so the raw-word OR stays
+  // worker-local.
   auto router_port_wake = [&](NodeId r, PortDir in_at_r) {
     WakeHook h = router_wake(r);
     if (gated && cfg.router.port_gating) {
@@ -229,18 +218,6 @@ Network::Network(const NetworkConfig& cfg)
 
   // NIC wiring through each router's Local port. All five channels stay
   // inside the node and therefore inside its span.
-  auto inject_mask = [&](NodeId node) {
-    return spans_.empty()
-               ? &inject_awake_
-               : &spans_[static_cast<size_t>(part_.span_of_node(node))]
-                      .inject_awake;
-  };
-  auto eject_mask = [&](NodeId node) {
-    return spans_.empty()
-               ? &eject_awake_
-               : &spans_[static_cast<size_t>(part_.span_of_node(node))]
-                      .eject_awake;
-  };
   for (NodeId node = 0; node < n; ++node) {
     auto* f_nr = make_channel(flit_channels_, 1);   // NIC -> router
     auto* f_rn = make_channel(flit_channels_, 1);   // router -> NIC
@@ -253,9 +230,10 @@ Network::Network(const NetworkConfig& cfg)
     credit_ep_.push_back({node, node});
     if (bypass) la_ep_.push_back({node, node});
     if (gated) {
+      StepSpan& sp = span_of(node);
       f_nr->set_wake_target(router_port_wake(node, PortDir::Local));
-      f_rn->set_wake_target({eject_mask(node), node});
-      c_rn->set_wake_target({inject_mask(node), node});
+      f_rn->set_wake_target({&sp.eject_awake, node});
+      c_rn->set_wake_target({&sp.inject_awake, node});
       c_nr->set_wake_target(router_port_wake(node, PortDir::Local));
       // Latency 0: the wake fires at send time, during the NIC injection
       // phase, so the router sees the lookahead the same cycle.
@@ -283,15 +261,12 @@ Network::Network(const NetworkConfig& cfg)
 
   setup_activity();
 
-  if (!spans_.empty()) {
-    // Lease extra workers from the shared budget for this network's
-    // lifetime. A lease of 0 (budget exhausted, nested parallelism) leaves
-    // a one-worker team: the spans are then stepped inline, still through
-    // the sharded datapath, so results stay identical.
-    budget_lease_ =
-        thread_budget::acquire(static_cast<int>(spans_.size()) - 1);
-    team_ = std::make_unique<StepTeam>(budget_lease_ + 1);
-  }
+  // Lease extra workers from the shared budget for this network's
+  // lifetime. A lease of 0 (serial, budget exhausted, nested parallelism)
+  // leaves a one-worker team whose run() is a direct call over every span,
+  // so results stay identical.
+  budget_lease_ = thread_budget::acquire(spans - 1);
+  team_ = std::make_unique<StepTeam>(budget_lease_ + 1);
 }
 
 Network::~Network() {
@@ -303,29 +278,23 @@ void Network::setup_activity() {
   const int n = geom_.num_nodes();
   NOC_EXPECTS(n <= DestMask::kCapacity);  // one awake bit per node
   const bool gated = cfg_.activity_gating;
-  const bool parallel = !spans_.empty();
 
   // Contiguous channel ids per pool so the active-list sweep can recover
-  // the typed pointer from the id alone. The in-flight counter is installed
-  // unconditionally: quiescent() relies on it in both modes.
-  //
-  // In parallel mode every channel is owned by its RECEIVER's span: it
-  // registers on that span's active list and items counter, and a channel
+  // the typed pointer from the id alone. Every channel is owned by its
+  // RECEIVER's span: it registers on that span's active list (gated only)
+  // and items counter (always: quiescent() relies on it), and a channel
   // whose sender lives in a different span is the boundary case -- it
   // becomes deferred (double-buffered sends committed by the owner after
   // the compute barrier).
   const int total = num_channels();
-  chan_active_.init(total);
-  for (auto& sp : spans_) sp.active.init(total);
+  for (auto& sp : spans_) {
+    sp.active.init(total);
+    sp.channels.reserve(static_cast<size_t>(total));
+  }
 
   auto install = [&](auto& ch, const std::pair<NodeId, NodeId>& ep, int id,
                      auto cross_of) {
-    if (!parallel) {
-      ch.set_activity(gated ? &chan_active_ : nullptr, id, &chan_items_);
-      return;
-    }
-    StepSpan& sp =
-        spans_[static_cast<size_t>(part_.span_of_node(ep.second))];
+    StepSpan& sp = span_of(ep.second);
     ch.set_activity(gated ? &sp.active : nullptr, id, &sp.items);
     sp.channels.push_back(id);
     if (part_.crosses(ep.first, ep.second)) {
@@ -348,8 +317,7 @@ void Network::setup_activity() {
 
   inject_wake_at_.assign(static_cast<size_t>(n), kCycleNever);
   // Everything starts awake; idle components fall asleep after their first
-  // tick, which keeps cycle 0 identical to the ungated phase walk.
-  router_awake_ = inject_awake_ = eject_awake_ = DestMask::first_n(n);
+  // tick, which keeps cycle 0 identical to the ungated walk.
   for (auto& sp : spans_) {
     DestMask m;
     for (NodeId node : sp.nodes) m.set(node);
@@ -358,25 +326,42 @@ void Network::setup_activity() {
 
   if (gated) {
     for (NodeId node = 0; node < n; ++node) {
-      DestMask* mask =
-          parallel ? &spans_[static_cast<size_t>(part_.span_of_node(node))]
-                          .inject_awake
-                   : &inject_awake_;
-      const WakeHook inject{mask, node};
+      const WakeHook inject{&span_of(node).inject_awake, node};
       nics_[static_cast<size_t>(node)]->set_inject_wake_hook(inject);
       sources_[static_cast<size_t>(node)]->set_wake_hook(inject);
     }
   }
 }
 
+// ---------------------------------------------------------------------------
+// The step loop (docs/PERF.md Layers 3-4).
+//
+// Schedule per cycle:
+//
+//   A. compute  -- each worker runs its spans' timed wakes, channel
+//      deliveries, NIC-inject / router / NIC-eject passes. Every write lands
+//      in span-owned state; sends on cross-span channels only stage.
+//   B. commit   -- each owner replays the messages other spans staged into
+//      its boundary channels, through the normal send path.
+//   C. merge    (main thread) -- add the per-span energy shards and drain
+//      the per-span metrics and trace-record buffers, span by span.
+//
+// With one span, A is the whole step: components record straight into the
+// network-wide sinks and there is nothing to commit or merge. Bit-identity
+// to one span holds because every within-cycle wake is intra-node, every
+// cross-node interaction crosses a latency>=1 channel (visible only after
+// the next cycle's begin_cycle), and everything C accumulates commutes
+// (Metrics: integer counts, sums, maxima and histogram bins).
+
 void Network::step(Cycle now) {
   apply_faults(now);
-  if (!spans_.empty())
-    step_parallel(now);
-  else if (cfg_.activity_gating)
-    step_gated(now);
-  else
-    step_full(now);
+  StepCtx ctx{this, now, &Network::span_compute};
+  team_->run(&Network::phase_thunk, &ctx);
+  if (sharded()) {
+    ctx.phase = &Network::span_commit;
+    team_->run(&Network::phase_thunk, &ctx);
+    merge_spans();
+  }
   if (telemetry_ != nullptr && telemetry_->want_sample(now))
     sample_telemetry(now);
   ++energy_.cycles;
@@ -393,13 +378,7 @@ void Network::sample_telemetry(Cycle now) {
   // gated sweep would visit -- so it legitimately differs across stepping
   // modes (ungated runs report every router awake) and is excluded from the
   // determinism comparisons in tests/test_gating_equivalence.cpp.
-  if (!cfg_.activity_gating) {
-    s.awake_routers = geom_.num_nodes();
-  } else if (spans_.empty()) {
-    s.awake_routers = router_awake_.count();
-  } else {
-    for (const auto& sp : spans_) s.awake_routers += sp.router_awake.count();
-  }
+  for (const auto& sp : spans_) s.awake_routers += sp.router_awake.count();
   telemetry_->push_sample(s);
 }
 
@@ -426,74 +405,70 @@ void Network::apply_faults(Cycle now) {
   }
 }
 
-void Network::step_full(Cycle now) {
-  for (auto& ch : flit_channels_) ch.begin_cycle(now);
-  for (auto& ch : credit_channels_) ch.begin_cycle(now);
-  for (auto& ch : la_channels_) ch.begin_cycle(now);
-  for (auto& nic : nics_) nic->tick_inject(now);
-  for (auto& r : routers_) r->tick(now);
-  for (auto& nic : nics_) nic->tick_eject(now);
-}
+void Network::span_compute(int s, Cycle now) {
+  StepSpan& sp = spans_[static_cast<size_t>(s)];
+  const bool gated = cfg_.activity_gating;
 
-void Network::step_gated(Cycle now) {
-  // 0. Timed wake-ups: sources that promised a future fire cycle.
-  if (next_timed_wake_ <= now) {
-    next_timed_wake_ = kCycleNever;
-    const NodeId n = geom_.num_nodes();
-    for (NodeId i = 0; i < n; ++i) {
+  // 0. Timed wake-ups: sources that promised a future fire cycle (never
+  //    armed when ungated).
+  if (sp.next_timed_wake <= now) {
+    sp.next_timed_wake = kCycleNever;
+    for (NodeId i : sp.nodes) {
       Cycle& at = inject_wake_at_[static_cast<size_t>(i)];
       if (at <= now) {
-        inject_awake_.set(i);
+        sp.inject_awake.set(i);
         at = kCycleNever;
-      } else if (at < next_timed_wake_) {
-        next_timed_wake_ = at;
+      } else if (at < sp.next_timed_wake) {
+        sp.next_timed_wake = at;
       }
     }
   }
 
-  // 1. Channels holding messages deliver; newly visible arrivals wake their
-  //    receivers (this runs before every component phase, so same-cycle
-  //    consumption is guaranteed). Fully drained channels drop off the list
-  //    -- their slots are all empty, so skipping begin_cycle is safe (see
-  //    Channel's activity contract). Per-entry work is order-independent:
-  //    begin_cycle touches only the channel itself and wake bits are ORed.
-  chan_active_.sweep([&](int id) { return begin_channel(id, now); });
+  // 1. Channels deliver; newly visible arrivals wake their receivers (this
+  //    runs before every component phase, so same-cycle consumption is
+  //    guaranteed). Gated, only channels holding messages are visited and
+  //    fully drained ones drop off the list -- their slots are all empty,
+  //    so skipping begin_cycle is safe (see Channel's activity contract).
+  //    Per-entry work is order-independent: begin_cycle touches only the
+  //    channel itself and wake bits are ORed.
+  if (gated)
+    sp.active.sweep([&](int id) { return begin_channel(id, now); });
+  else
+    for (int id : sp.channels) begin_channel(id, now);
 
-  // 2. NIC injection halves, ascending node id (the phase-walk order, so
-  //    shared-accumulator metrics see identical floating-point ordering).
-  //    A NIC stays awake while it holds queued work or its source may fire
-  //    next cycle; otherwise it parks, with a timed wake if the source
-  //    promised a future fire.
-  const DestMask inject_pass = inject_awake_;
+  // 2. NIC injection halves, ascending node id. A NIC stays awake while it
+  //    holds queued work or its source may fire next cycle; otherwise it
+  //    parks, with a timed wake if the source promised a future fire.
+  const DestMask inject_pass = sp.inject_awake;
   inject_pass.for_each([&](int node) {
     const auto i = static_cast<size_t>(node);
     nics_[i]->tick_inject(now);
-    if (nics_[i]->inject_busy()) return;
+    if (!gated || nics_[i]->inject_busy()) return;
     const Cycle wake = sources_[i]->next_fire_cycle(now + 1);
     if (wake <= now + 1) return;
-    inject_awake_.clear(node);
+    sp.inject_awake.clear(node);
     // Overwrite unconditionally: an early hook wake may have left a stale
     // earlier entry that would otherwise fire a pointless timed wake.
     inject_wake_at_[i] = wake;
-    if (wake < next_timed_wake_) next_timed_wake_ = wake;
+    if (wake < sp.next_timed_wake) sp.next_timed_wake = wake;
   });
 
   // 3. Routers. Skipped ticks are exact no-ops for idle routers (no
   //    arbiter state advances without requests; the lookahead rotation is
   //    cycle-derived), so sleeping preserves bit-identical metrics.
-  const DestMask router_pass = router_awake_;
+  const DestMask router_pass = sp.router_awake;
   router_pass.for_each([&](int node) {
     const auto i = static_cast<size_t>(node);
     routers_[i]->tick(now);
-    if (routers_[i]->idle()) router_awake_.clear(node);
+    if (gated && routers_[i]->idle()) sp.router_awake.clear(node);
   });
 
   // 4. NIC ejection halves.
-  const DestMask eject_pass = eject_awake_;
+  const DestMask eject_pass = sp.eject_awake;
   eject_pass.for_each([&](int node) {
     const auto i = static_cast<size_t>(node);
     nics_[i]->tick_eject(now);
-    if (!nics_[i]->eject_busy()) eject_awake_.clear(node);
+    if (gated && !nics_[i]->eject_busy()) sp.eject_awake.clear(node);
   });
 }
 
@@ -513,125 +488,14 @@ bool Network::begin_channel(int id, Cycle now) {
   return ch.stored() > 0;
 }
 
-// ---------------------------------------------------------------------------
-// Intra-network parallel stepping (docs/PERF.md Layer 4).
-//
-// Schedule per cycle, with barriers between the phases:
-//
-//   A. compute  (parallel) -- each worker runs its spans' timed wakes,
-//      channel deliveries, NIC-inject / router / NIC-eject passes. Every
-//      write lands in span-owned state; sends on cross-span channels only
-//      stage.
-//   B. commit   (parallel) -- each owner replays the messages other spans
-//      staged into its boundary channels, through the normal send path.
-//   C. merge    (main thread) -- drain per-span energy shards (integer adds,
-//      span order) and replay captured metrics events in exact serial order
-//      (inject phase before eject phase, ascending node within each).
-//
-// Bit-identity to serial stepping holds because every within-cycle wake is
-// intra-node, every cross-node interaction crosses a latency>=1 channel
-// (visible only after the next cycle's begin_cycle), and phase C
-// reconstructs the serial call order of all order-sensitive accumulation.
-
-void Network::step_parallel(Cycle now) {
-  flush_external_captures();
-  if (team_->workers() > 1 && !trace_recording_) {
-    StepCtx ctx{this, now};
-    team_->run(&Network::compute_thunk, &ctx);
-    team_->run(&Network::commit_thunk, &ctx);
-  } else {
-    step_spans_inline(now);
-  }
-  merge_spans();
-}
-
-void Network::compute_thunk(void* ctx, int worker) {
+void Network::phase_thunk(void* ctx, int worker) {
   auto* c = static_cast<StepCtx*>(ctx);
   Network& net = *c->net;
   const int workers = net.team_->workers();
   const int spans = static_cast<int>(net.spans_.size());
   // Strided span -> worker assignment: the worker count changes only the
   // schedule, never which span owns what, so results are grant-invariant.
-  for (int s = worker; s < spans; s += workers) net.span_compute(s, c->now);
-}
-
-void Network::commit_thunk(void* ctx, int worker) {
-  auto* c = static_cast<StepCtx*>(ctx);
-  Network& net = *c->net;
-  const int workers = net.team_->workers();
-  const int spans = static_cast<int>(net.spans_.size());
-  for (int s = worker; s < spans; s += workers) net.span_commit(s, c->now);
-}
-
-void Network::span_begin(int s, Cycle now) {
-  StepSpan& sp = spans_[static_cast<size_t>(s)];
-  if (!cfg_.activity_gating) {
-    for (int id : sp.channels) begin_channel(id, now);
-    return;
-  }
-  // Timed injection wake-ups, then the span's active channels (the per-span
-  // mirror of step_gated's steps 0 and 1).
-  if (sp.next_timed_wake <= now) {
-    sp.next_timed_wake = kCycleNever;
-    for (NodeId i : sp.nodes) {
-      Cycle& at = inject_wake_at_[static_cast<size_t>(i)];
-      if (at <= now) {
-        sp.inject_awake.set(i);
-        at = kCycleNever;
-      } else if (at < sp.next_timed_wake) {
-        sp.next_timed_wake = at;
-      }
-    }
-  }
-  sp.active.sweep([&](int id) { return begin_channel(id, now); });
-}
-
-void Network::span_inject_tick(StepSpan& sp, int node, Cycle now) {
-  const auto i = static_cast<size_t>(node);
-  sp.metrics->set_capture_point(kCaptureInject, node);
-  nics_[i]->tick_inject(now);
-  if (!cfg_.activity_gating) return;
-  if (nics_[i]->inject_busy()) return;
-  const Cycle wake = sources_[i]->next_fire_cycle(now + 1);
-  if (wake <= now + 1) return;
-  sp.inject_awake.clear(node);
-  inject_wake_at_[i] = wake;  // element owned by this span: race-free
-  if (wake < sp.next_timed_wake) sp.next_timed_wake = wake;
-}
-
-void Network::span_router_tick(StepSpan& sp, int node, Cycle now) {
-  const auto i = static_cast<size_t>(node);
-  sp.metrics->set_capture_point(kCaptureRouter, node);
-  routers_[i]->tick(now);
-  if (cfg_.activity_gating && routers_[i]->idle()) sp.router_awake.clear(node);
-}
-
-void Network::span_eject_tick(StepSpan& sp, int node, Cycle now) {
-  const auto i = static_cast<size_t>(node);
-  sp.metrics->set_capture_point(kCaptureEject, node);
-  nics_[i]->tick_eject(now);
-  if (cfg_.activity_gating && !nics_[i]->eject_busy())
-    sp.eject_awake.clear(node);
-}
-
-void Network::span_compute(int s, Cycle now) {
-  StepSpan& sp = spans_[static_cast<size_t>(s)];
-  span_begin(s, now);
-  if (cfg_.activity_gating) {
-    sp.pass_scratch = sp.inject_awake;
-    sp.pass_scratch.for_each(
-        [&](int node) { span_inject_tick(sp, node, now); });
-    sp.pass_scratch = sp.router_awake;
-    sp.pass_scratch.for_each(
-        [&](int node) { span_router_tick(sp, node, now); });
-    sp.pass_scratch = sp.eject_awake;
-    sp.pass_scratch.for_each(
-        [&](int node) { span_eject_tick(sp, node, now); });
-  } else {
-    for (NodeId node : sp.nodes) span_inject_tick(sp, node, now);
-    for (NodeId node : sp.nodes) span_router_tick(sp, node, now);
-    for (NodeId node : sp.nodes) span_eject_tick(sp, node, now);
-  }
+  for (int s = worker; s < spans; s += workers) (net.*c->phase)(s, c->now);
 }
 
 void Network::span_commit(int s, Cycle now) {
@@ -641,93 +505,53 @@ void Network::span_commit(int s, Cycle now) {
   for (auto* ch : sp.cross_la) ch->commit_staged(now);
 }
 
-// Single-threaded drive of the sharded datapath, used when the budget
-// granted no helpers and while recording traces (NIC recorders append in
-// tick order, so the passes must walk nodes in GLOBAL ascending order to
-// keep recorded traces identical to serial runs). Span execution order
-// cannot affect results -- phase A is span-isolated -- so this produces
-// exactly what the threaded schedule produces.
-void Network::step_spans_inline(Cycle now) {
-  const int spans = static_cast<int>(spans_.size());
-  const int n = geom_.num_nodes();
-  for (int s = 0; s < spans; ++s) span_begin(s, now);
-  auto owner = [&](NodeId node) -> StepSpan& {
-    return spans_[static_cast<size_t>(part_.span_of_node(node))];
-  };
-  if (cfg_.activity_gating) {
-    for (auto& sp : spans_) sp.pass_scratch = sp.inject_awake;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = owner(node);
-      if (sp.pass_scratch.test(node)) span_inject_tick(sp, node, now);
-    }
-    for (auto& sp : spans_) sp.pass_scratch = sp.router_awake;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = owner(node);
-      if (sp.pass_scratch.test(node)) span_router_tick(sp, node, now);
-    }
-    for (auto& sp : spans_) sp.pass_scratch = sp.eject_awake;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = owner(node);
-      if (sp.pass_scratch.test(node)) span_eject_tick(sp, node, now);
-    }
-  } else {
-    for (NodeId node = 0; node < n; ++node)
-      span_inject_tick(owner(node), node, now);
-    for (NodeId node = 0; node < n; ++node)
-      span_router_tick(owner(node), node, now);
-    for (NodeId node = 0; node < n; ++node)
-      span_eject_tick(owner(node), node, now);
-  }
-  for (int s = 0; s < spans; ++s) span_commit(s, now);
-}
-
-// Packets submitted through a NIC between steps (tests, external drivers)
-// land in the owner shard tagged with a stale capture point. Their events
-// (packet creation, NIC-duplicated local deliveries) commute across
-// distinct packets, so applying them span-by-span before the cycle starts
-// reproduces the serial bookkeeping exactly.
-void Network::flush_external_captures() {
-  for (auto& sp : spans_) {
-    if (sp.metrics->captured_empty()) continue;
-    for (int phase = 0; phase < kNumCapturePhases; ++phase)
-      for (const auto& e : sp.metrics->captured(phase)) metrics_.apply(e);
-    sp.metrics->clear_captured();
-  }
-}
-
+// Span-order drain of each span's events in emission order. Within one
+// cycle, events of a logical packet that come from different spans are only
+// tail decrements and drops (creation and its NIC-local deliveries happen at
+// one node), and those commute, as does every latency accumulation. Packets
+// submitted through a NIC between steps simply sit at the front of their
+// span's buffer.
 void Network::merge_spans() {
-  // Deterministic merge, main thread. Energy shards are integer event
-  // counts: span-ordered addition is exact. Metrics events replay in the
-  // serial call order -- all inject-phase events before all eject-phase
-  // events, ascending node id within each; each span captured its own nodes
-  // in ascending order, so a per-span cursor walk needs no sorting.
   for (auto& sp : spans_) {
     energy_ += sp.energy;
     sp.energy.reset();
+    for (const auto& e : sp.metrics->captured()) metrics_.apply(e);
+    sp.metrics->clear_captured();
   }
-  const int n = geom_.num_nodes();
-  for (int phase = 0; phase < kNumCapturePhases; ++phase) {
-    for (auto& sp : spans_) sp.replay_cursor = 0;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = spans_[static_cast<size_t>(part_.span_of_node(node))];
-      const auto& buf = sp.metrics->captured(phase);
-      while (sp.replay_cursor < buf.size() &&
-             buf[sp.replay_cursor].node == node)
-        metrics_.apply(buf[sp.replay_cursor++]);
-    }
+  merge_records();
+}
+
+// Each span records its NICs in ascending node order, and every generated
+// packet is stamped with the current cycle, so a stable (cycle, src) sort
+// of one step's records is exactly the order a single span records.
+void Network::merge_records() {
+  if (trace_out_ == nullptr || !sharded()) return;
+  auto& out = trace_out_->records;
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  for (auto& sp : spans_) {
+    out.insert(out.end(), sp.records.records.begin(),
+               sp.records.records.end());
+    sp.records.records.clear();
   }
-  for (auto& sp : spans_) sp.metrics->clear_captured();
+  std::stable_sort(out.begin() + first, out.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return std::tie(a.cycle, a.src) < std::tie(b.cycle, b.src);
+                   });
 }
 
 void Network::record_trace(Trace* out) {
-  trace_recording_ = out != nullptr;
+  merge_records();  // records submitted since the last step
+  trace_out_ = out;
   if (out != nullptr) {
     // Stamp the capture geometry so replay layers can reject a trace fed
     // to the wrong mesh (trace_geometry_error / the v2 file header).
     out->kx = geom_.kx();
     out->ky = geom_.ky();
   }
-  for (auto& nic : nics_) nic->set_trace_recorder(out);
+  for (NodeId node = 0; node < geom_.num_nodes(); ++node) {
+    Trace* rec = out != nullptr && sharded() ? &span_of(node).records : out;
+    nics_[static_cast<size_t>(node)]->set_trace_recorder(rec);
+  }
 }
 
 void Network::begin_measurement_window(Cycle now) {
@@ -742,7 +566,7 @@ void Network::end_measurement_window(Cycle now) {
 }
 
 int64_t Network::channel_items() const {
-  int64_t total = chan_items_;
+  int64_t total = 0;
   for (const auto& sp : spans_) total += sp.items;
   return total;
 }
@@ -751,8 +575,7 @@ bool Network::quiescent() const {
   if (metrics_.open_packets() != 0) return false;
   // The aggregate counter covers flit, credit AND lookahead channels: the
   // old flit-only scan let a drain phase end with a credit still on a wire,
-  // corrupting back-to-back measurement windows. In parallel mode the count
-  // is sharded per span.
+  // corrupting back-to-back measurement windows.
   if (channel_items() != 0) return false;
   for (const auto& r : routers_)
     if (!r->idle()) return false;

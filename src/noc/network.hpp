@@ -7,23 +7,22 @@
 //      routers' mSA-II must see this same cycle)
 //   3. routers tick (credits -> ST/BW -> mSA-II -> mSA-I/VA)
 //   4. NIC ejection halves tick (drain flits the routers sent last cycle)
-
-// When activity gating is enabled (NetworkConfig::activity_gating, the
-// default), step() walks only the components that can possibly do work this
-// cycle: channels holding in-flight messages, routers with buffered or
-// latched state, NICs with queued packets / undrained flits, and NICs whose
-// TrafficSource may fire. Wake-up edges (message arrival, the latency-0
-// injection lookahead, source fire predictions, external submissions)
-// re-arm sleepers; metrics are bit-identical with gating on or off
-// (tests/test_gating_equivalence.cpp, docs/PERF.md).
-
-// With step_threads > 1 the mesh is partitioned into contiguous column
-// spans (src/noc/partition.hpp) stepped by a persistent worker team under a
-// fixed two-phase barrier schedule: compute span-local state, barrier,
-// commit cross-span channel sends, barrier, then merge per-span energy and
-// metrics shards on the main thread in deterministic span/node order.
-// Results are bit-identical to serial stepping for every pattern, workload,
-// policy and gating mode (docs/PERF.md Layer 4).
+//
+// There is one stepping loop. The mesh is split into contiguous column
+// spans (src/noc/partition.hpp); serial stepping is the one-span case. Each
+// span walks its own channels and awake masks: with activity gating (the
+// default) only components that can do work this cycle run, and wake edges
+// (message arrival, the latency-0 injection lookahead, source fire
+// predictions, external submissions) re-arm sleepers. Ungated stepping is
+// the same loop with every awake bit left set; it stays as the equivalence
+// oracle (tests/test_gating_equivalence.cpp, docs/PERF.md).
+//
+// With step_threads > 1 a persistent worker team runs the spans under a
+// two-phase barrier schedule: compute span-local state, barrier, commit
+// cross-span channel sends, barrier, then drain the per-span energy,
+// metrics and trace shards on the main thread. Results are bit-identical to
+// serial stepping for every pattern, workload, policy and gating mode
+// (docs/PERF.md Layer 4).
 
 #include <memory>
 #include <utility>
@@ -71,8 +70,8 @@ struct NetworkConfig {
 
   /// Activity-gated stepping (docs/PERF.md): idle routers, NICs and drained
   /// channels are skipped each cycle. Metrics are bit-identical either way
-  /// (enforced by tests/test_gating_equivalence.cpp); turning it off
-  /// retains the full phase-walk for comparison and debugging.
+  /// (enforced by tests/test_gating_equivalence.cpp); turning it off keeps
+  /// every component awake every cycle, for comparison and debugging.
   bool activity_gating = true;
 
   /// Intra-network parallel stepping (docs/PERF.md Layer 4): partition the
@@ -116,7 +115,8 @@ class Network : public Steppable {
   TrafficSource& source(NodeId n) { return *sources_[static_cast<size_t>(n)]; }
 
   /// Capture every logical packet submitted at any NIC into `out`
-  /// (replayable through WorkloadKind::Trace). Pass nullptr to stop.
+  /// (replayable through WorkloadKind::Trace), in (cycle, src) order for
+  /// any step_threads. Pass nullptr to stop.
   void record_trace(Trace* out);
 
   /// Open the metrics window and reset every source's per-window stats
@@ -141,13 +141,9 @@ class Network : public Steppable {
   // ---- parallel-stepping introspection (tests, docs/PERF.md Layer 4) ----
 
   /// Number of column spans the step loop drives; 1 in serial mode.
-  int num_step_spans() const {
-    return spans_.empty() ? 1 : static_cast<int>(spans_.size());
-  }
+  int num_step_spans() const { return static_cast<int>(spans_.size()); }
   /// Workers actually running per step (after thread_budget clamping).
-  int step_workers() const { return team_ ? team_->workers() : 1; }
-  /// The column partition (valid only when num_step_spans() > 1).
-  const SpanPartition& partition() const { return part_; }
+  int step_workers() const { return team_->workers(); }
   int num_channels() const {
     return static_cast<int>(flit_channels_.size() + credit_channels_.size() +
                             la_channels_.size());
@@ -168,10 +164,10 @@ class Network : public Steppable {
 
  private:
   /// Everything one worker exclusively owns while stepping its column span:
-  /// the span's activity machinery mirrors the Network-level fields used in
-  /// serial mode, plus integer energy and capture-mode metrics shards that
-  /// the main thread drains each cycle in deterministic order. All scratch
-  /// is sized at partition time (zero-alloc invariant).
+  /// its channels, activity machinery and, when there is more than one
+  /// span, the energy, metrics and trace-record shards the main thread
+  /// drains after each cycle. All scratch is sized at partition time
+  /// (zero-alloc invariant).
   struct StepSpan {
     std::vector<NodeId> nodes;  // ascending id order
     std::vector<int> channels;  // owned channel ids (receiver in span)
@@ -179,25 +175,34 @@ class Network : public Steppable {
     std::vector<Channel<Credit>*> cross_credit;
     std::vector<Channel<Lookahead>*> cross_la;
     ActiveList active;
-    int64_t items = 0;
+    int64_t items = 0;  // messages inside the owned channels
+    // One awake bit per owned node (DestMask: the same multi-word per-node
+    // bitset the datapath uses). Gating sets bits on wake edges and clears
+    // them when a component's post-tick state shows it cannot act next
+    // cycle; ungated stepping never clears them.
     DestMask router_awake;
     DestMask inject_awake;
     DestMask eject_awake;
-    DestMask pass_scratch;  // pre-tick snapshot of the mask being walked
+    // Minimum of the span's inject_wake_at_ entries: one compare per cycle.
     Cycle next_timed_wake = kCycleNever;
-    EnergyCounters energy;            // drained into the global every cycle
-    std::unique_ptr<Metrics> metrics; // capture shard of the shared Metrics
-    size_t replay_cursor = 0;
+    EnergyCounters energy;
+    std::unique_ptr<Metrics> metrics;  // lifecycle events, emission order
+    Trace records;                     // NIC trace records while recording
   };
 
   struct StepCtx {
     Network* net;
     Cycle now;
+    void (Network::*phase)(int span, Cycle now);
   };
 
   template <typename T>
   Channel<T>* make_channel(std::vector<Channel<T>>& pool, int latency);
 
+  StepSpan& span_of(NodeId node) {
+    return spans_[static_cast<size_t>(part_.span_of_node(node))];
+  }
+  bool sharded() const { return spans_.size() > 1; }
   void setup_activity();
   /// Apply fault-schedule events stamped <= now, pushing the updated
   /// dead-port masks / degrade flags into the affected routers. Runs on
@@ -206,25 +211,15 @@ class Network : public Steppable {
   /// activity gating and span decomposition.
   void apply_faults(Cycle now);
   /// Append one time-series sample (main thread, end of step(), after the
-  /// parallel merge so the cumulative counters are whole-network values).
+  /// span merge so the cumulative counters are whole-network values).
   void sample_telemetry(Cycle now);
-  void step_full(Cycle now);
-  void step_gated(Cycle now);
 
-  // Parallel stepping (spans_ non-empty).
-  void step_parallel(Cycle now);
-  void step_spans_inline(Cycle now);
   bool begin_channel(int id, Cycle now);
-  void span_begin(int s, Cycle now);
   void span_compute(int s, Cycle now);
   void span_commit(int s, Cycle now);
-  void span_inject_tick(StepSpan& sp, int node, Cycle now);
-  void span_router_tick(StepSpan& sp, int node, Cycle now);
-  void span_eject_tick(StepSpan& sp, int node, Cycle now);
-  void flush_external_captures();
   void merge_spans();
-  static void compute_thunk(void* ctx, int worker);
-  static void commit_thunk(void* ctx, int worker);
+  void merge_records();
+  static void phase_thunk(void* ctx, int worker);
 
   NetworkConfig cfg_;
   MeshGeometry geom_;
@@ -250,35 +245,21 @@ class Network : public Steppable {
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   std::vector<std::unique_ptr<Nic>> nics_;
 
-  // --- intra-network parallelism (docs/PERF.md Layer 4) ---
+  // --- the step loop (docs/PERF.md Layers 3-4) ---
   SpanPartition part_;
-  std::vector<StepSpan> spans_;     // empty in serial mode
-  std::unique_ptr<StepTeam> team_;  // non-null iff spans_ non-empty
+  std::vector<StepSpan> spans_;     // one in serial mode
+  std::unique_ptr<StepTeam> team_;  // one worker in serial mode
   int budget_lease_ = 0;            // extra threads leased from thread_budget
-  bool trace_recording_ = false;
+  Trace* trace_out_ = nullptr;      // record_trace target
 
-  // --- activity machinery (docs/PERF.md) ---
-  // Channels self-register here while holding messages; ids are assigned
-  // contiguously per pool (flit < credit < lookahead) so the sweep can
-  // dispatch without virtual calls. chan_items_ is maintained in both modes
-  // (quiescent() needs it); the rest only drives the gated step.
-  ActiveList chan_active_;
-  int64_t chan_items_ = 0;
+  // Channel ids are contiguous per pool (flit < credit < lookahead) so the
+  // sweep can recover the typed channel from the id without virtual calls.
   int credit_id_base_ = 0;
   int la_id_base_ = 0;
-  // One awake bit per node (DestMask bitsets: the same multi-word per-node
-  // masks the datapath uses, sized to DestMask::kCapacity = 256 nodes).
-  // Bits are set by wake edges and cleared when a component's post-tick
-  // state shows it cannot act next cycle.
-  DestMask router_awake_;
-  DestMask inject_awake_;
-  DestMask eject_awake_;
   // Timed injection wake-ups for sources that promise a future fire cycle
   // (identical-PRBS intervals, trace records, closed-loop response due
-  // times); next_timed_wake_ caches the minimum so the per-cycle check is
-  // one compare.
+  // times); each entry is written only by its node's span.
   std::vector<Cycle> inject_wake_at_;
-  Cycle next_timed_wake_ = kCycleNever;
 };
 
 }  // namespace noc

@@ -66,7 +66,7 @@ struct RouterConfig {
   /// work or whose channels delivered this cycle (per-port wake bits set by
   /// the channel hooks), instead of all 5 ports x all VCs. Pure scheduling
   /// -- results are bit-identical either way. Ignored when the network runs
-  /// ungated (the full phase walk already visits everything).
+  /// ungated (every component is then awake and visits everything).
   bool port_gating = true;
   /// Routing policy (noc/route_policy.hpp, docs/ROUTING.md). The chip
   /// hardwires XY; YX is the mirror ablation; O1TURN and MinimalAdaptive

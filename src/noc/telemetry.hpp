@@ -12,8 +12,8 @@
 //     the counts are bit-identical across activity gating, port gating,
 //     and parallel stepping by construction.
 //  2. Latency histograms live in Metrics (noc/metrics.hpp), not here: they
-//     are fed where packets retire, which the capture-replay path already
-//     serializes for serial/parallel bit-identity.
+//     are fed where packets retire, on the shared Metrics only, and hold
+//     integer counts, so serial and parallel stepping fill identical bins.
 //  3. A cycle-sampled time series (sample_every) recording injected /
 //     delivered flits, open packets, awake-router count, and the fault
 //     epoch into a fixed-capacity ring. Sampled on the main thread at the

@@ -172,8 +172,8 @@ class TrafficSource {
   /// their latencies; trace sources report replayed records.
   struct WindowStats {
     int64_t transactions = 0;
-    double latency_sum = 0;
-    double latency_max = 0;
+    int64_t latency_sum = 0;  // cycles, like every latency below
+    int64_t latency_max = 0;
     /// Per-leg breakdown (closed loop only, zeros elsewhere): the
     /// probe-to-owner leg is measured at the OWNER from the probe head's
     /// generation stamp, the data-return leg at the REQUESTER from the
@@ -181,9 +181,9 @@ class TrafficSource {
     /// two legs plus the directory latency and the owner's response
     /// queueing compose the full transaction latency.
     int64_t probe_legs = 0;
-    double probe_latency_sum = 0;
+    int64_t probe_latency_sum = 0;
     int64_t response_legs = 0;
-    double response_latency_sum = 0;
+    int64_t response_latency_sum = 0;
   };
   virtual WindowStats window_stats() const { return {}; }
 

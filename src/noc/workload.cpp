@@ -227,7 +227,7 @@ void ClosedLoopSource::on_delivery(const Flit& flit, Cycle now) {
       // Probe-to-owner leg: the probe's generation stamp travels in the
       // flit, so the leg is measurable right here without cross-node state.
       if (in_window_)
-        window_probe_leg_.add(static_cast<double>(now - flit.gen_cycle));
+        window_probe_leg_.add(now - flit.gen_cycle);
       pending_.push_back(
           {now + cfg_.directory_latency, flit.tag, flit.src});
     }
@@ -238,10 +238,10 @@ void ClosedLoopSource::on_delivery(const Flit& flit, Cycle now) {
   for (int i = 0; i < outstanding_.size(); ++i) {
     if (outstanding_[i].tag != flit.tag) continue;
     if (in_window_) {
-      window_latency_.add(static_cast<double>(now - outstanding_[i].issued));
+      window_latency_.add(now - outstanding_[i].issued);
       // Data-return leg: from the response's generation at the owner
       // (which includes the owner's NIC queueing) to tail delivery here.
-      window_response_leg_.add(static_cast<double>(now - flit.gen_cycle));
+      window_response_leg_.add(now - flit.gen_cycle);
     }
     outstanding_[i] = outstanding_[outstanding_.size() - 1];
     outstanding_.pop_back();

@@ -188,12 +188,12 @@ class ClosedLoopSource final : public TrafficSource {
   int64_t issued_ = 0;
   int64_t completed_ = 0;
   bool in_window_ = false;
-  RunningStat window_latency_;
+  IntStat window_latency_;
   /// Leg breakdown feeding WindowStats (see TrafficSource::WindowStats):
   /// probe-to-owner measured here when this node owns the probed line,
   /// data-return measured here when a response retires one of our misses.
-  RunningStat window_probe_leg_;
-  RunningStat window_response_leg_;
+  IntStat window_probe_leg_;
+  IntStat window_response_leg_;
 };
 
 /// Trace replay: injects this node's records in order, one per cycle at the

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -227,8 +229,8 @@ void expect_step_threads_invisible(NetworkConfig cfg, double offered,
     cfg.step_threads = st;
     const PointResult par = measure_point(cfg, offered, measure);
     expect_identical(par, serial);
-    // The full latency statistics too: RunningStat accumulation order must
-    // have been reconstructed exactly, not just the integer counters.
+    // The latency means too: integer sums divided once, so no
+    // accumulation order can move them.
     EXPECT_EQ(par.avg_latency, serial.avg_latency);
   }
 }
@@ -367,9 +369,75 @@ TEST(ParallelStepping, BitIdenticalUnderFaultSchedules) {
   }
 }
 
+TEST(ParallelStepping, ExternalSubmissionsBetweenStepsMatchSerial) {
+  // Packets handed to a NIC between steps are created -- and a
+  // NIC-duplicated broadcast's local copy retires -- outside the step loop.
+  // Their events wait at the front of their span's buffer until the next
+  // merge, which must still land them exactly as serial stepping does.
+  struct Totals {
+    int64_t generated, completed, received, latency_sum, latency_max, xbar;
+    double avg_latency;
+    Cycle quiescent_at;
+  };
+  auto run = [](int step_threads) {
+    NetworkConfig cfg = NetworkConfig::baseline_3stage(8);
+    cfg.traffic.offered_flits_per_node_cycle = 0.0;
+    cfg.step_threads = step_threads;
+    Network net(cfg);
+    Simulation sim(net);
+    sim.run(3);
+    net.begin_measurement_window(sim.now());
+    const int n = net.geom().num_nodes();
+    PacketId id = 1000;
+    for (int round = 0; round < 12; ++round) {
+      for (NodeId src : {0, 13, 38, 63}) {
+        Packet p;
+        p.id = ++id;
+        p.src = src;
+        p.gen_cycle = sim.now();
+        // Broadcasts every third round; unicasts to a never-self node in
+        // between, most of them across a span seam.
+        p.dest_mask = round % 3 == 0
+                          ? net.geom().all_nodes_mask()
+                          : MeshGeometry::node_mask((src + 7 * round + 5) % n);
+        net.nic(src).submit_packet(p);
+      }
+      sim.run(7);
+    }
+    EXPECT_TRUE(sim.run_until([&] { return net.quiescent(); }, 20000));
+    net.end_measurement_window(sim.now());
+    const Metrics& m = net.metrics();
+    return Totals{m.total_generated(),       m.completed_packets(),
+                  m.received_flits(),        m.latency_hist().sum(),
+                  m.latency_hist().max(),    net.energy().xbar_traversals,
+                  m.avg_packet_latency(),    sim.now()};
+  };
+  ScopedBudget budget(4);
+  const Totals serial = run(1);
+  const Totals par = run(4);
+  EXPECT_EQ(serial.generated, 48);
+  EXPECT_EQ(serial.completed, 48);
+  EXPECT_EQ(par.generated, serial.generated);
+  EXPECT_EQ(par.completed, serial.completed);
+  EXPECT_EQ(par.received, serial.received);
+  EXPECT_EQ(par.latency_sum, serial.latency_sum);
+  EXPECT_EQ(par.latency_max, serial.latency_max);
+  EXPECT_EQ(par.xbar, serial.xbar);
+  EXPECT_EQ(par.avg_latency, serial.avg_latency);
+  EXPECT_EQ(par.quiescent_at, serial.quiescent_at);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 TEST(ParallelStepping, TraceRecordingMatchesSerialRecording) {
-  // Recording runs the inline global-node-order path: the recorded trace
-  // must be byte-for-byte what a serial network records.
+  // Spans record into their own buffers and the merge appends them in
+  // (cycle, src) order: the recorded trace must be byte-for-byte what a
+  // serial network records.
   auto record = [](int step_threads) {
     auto trace = std::make_shared<Trace>();
     NetworkConfig cfg = NetworkConfig::proposed(8);
@@ -389,8 +457,17 @@ TEST(ParallelStepping, TraceRecordingMatchesSerialRecording) {
   for (size_t i = 0; i < serial->records.size(); ++i) {
     EXPECT_EQ(par->records[i].cycle, serial->records[i].cycle);
     EXPECT_EQ(par->records[i].src, serial->records[i].src);
+    EXPECT_EQ(par->records[i].dest_mask, serial->records[i].dest_mask);
     EXPECT_EQ(par->records[i].length, serial->records[i].length);
+    EXPECT_EQ(par->records[i].mc, serial->records[i].mc);
   }
+  const std::string serial_path = ::testing::TempDir() + "rec_serial.trace";
+  const std::string par_path = ::testing::TempDir() + "rec_spans.trace";
+  ASSERT_TRUE(save_trace(serial_path, *serial));
+  ASSERT_TRUE(save_trace(par_path, *par));
+  const std::string serial_text = read_file(serial_path);
+  EXPECT_GT(serial_text.size(), 1000u);
+  EXPECT_EQ(read_file(par_path), serial_text);
 }
 
 // ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ TEST(GatingEquivalence, MidRunRateChangeOverSleepingNics) {
   // phase -- and every subsequent fire -- diverges from the ungated walk.
   struct Totals {
     int64_t completed;
-    double latency_sum;
+    int64_t latency_sum;
     int64_t xbar;
   };
   Totals results[2];
@@ -398,6 +398,7 @@ TEST(GatingEquivalence, MidRunRateChangeOverSleepingNics) {
     cfg.traffic.offered_flits_per_node_cycle = 0.02;  // fires ~100 apart
     Network net(cfg);
     Simulation sim(net);
+    net.begin_measurement_window(sim.now());  // so latency_sum is non-zero
     sim.run(517);  // mid-sleep for every NIC
     for (NodeId n = 0; n < net.geom().num_nodes(); ++n)
       net.nic(n).source().set_rate(0.17);
@@ -410,7 +411,7 @@ TEST(GatingEquivalence, MidRunRateChangeOverSleepingNics) {
     sim.run(1000);
     results[gating ? 0 : 1] =
         Totals{net.metrics().total_completed(),
-               net.metrics().latency_stat().sum(),
+               net.metrics().latency_hist().sum(),
                net.energy().xbar_traversals};
   }
   EXPECT_EQ(results[0].completed, results[1].completed);

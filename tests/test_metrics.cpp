@@ -40,7 +40,7 @@ TEST(Metrics, BroadcastCompletesAtLastDelivery) {
   EXPECT_EQ(m.completed_packets(), 1);
   m.end_window(50);
   EXPECT_DOUBLE_EQ(m.avg_packet_latency(), 14.0);  // latency to the LAST
-  EXPECT_DOUBLE_EQ(m.latency_stat(PacketKind::Broadcast).mean(), 14.0);
+  EXPECT_DOUBLE_EQ(m.latency_hist(PacketKind::Broadcast).mean(), 14.0);
 }
 
 TEST(Metrics, BodyFlitsCountTowardThroughputNotCompletion) {

@@ -136,13 +136,19 @@ TEST(NetworkPartition, EveryChannelOwnedExactlyOnceAndBoundariesExact) {
   }
 }
 
-// step_threads must not change wiring when it resolves to a single span.
+// Serial stepping is the one-span case of the same loop: one span owns
+// every node and channel, and no channel is deferred.
 TEST(NetworkPartition, SingleSpanIsSerial) {
   NetworkConfig cfg = NetworkConfig::proposed(4);
   cfg.step_threads = 1;
   Network net(cfg);
   EXPECT_EQ(net.num_step_spans(), 1);
   EXPECT_EQ(net.step_workers(), 1);
+  EXPECT_EQ(static_cast<int>(net.span_nodes(0).size()),
+            net.geom().num_nodes());
+  EXPECT_EQ(static_cast<int>(net.span_channel_ids(0).size()),
+            net.num_channels());
+  EXPECT_EQ(net.span_cross_channel_count(0), 0);
 }
 
 }  // namespace

@@ -5,77 +5,40 @@
 namespace noc {
 namespace {
 
-TEST(RunningStat, BasicMoments) {
-  RunningStat s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-  EXPECT_EQ(s.count(), 5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 15.0);
+TEST(IntStat, CountSumMaxMean) {
+  IntStat s;
+  for (int64_t x : {3, 9, 4, 1}) s.add(x);
+  EXPECT_EQ(s.count(), 4);
+  EXPECT_EQ(s.sum(), 17);
+  EXPECT_EQ(s.max(), 9);
+  EXPECT_DOUBLE_EQ(s.mean(), 4.25);
 }
 
-TEST(RunningStat, EmptyIsSafe) {
-  RunningStat s;
+TEST(IntStat, EmptyAndResetAreSafe) {
+  IntStat s;
+  EXPECT_EQ(s.count(), 0);
+  EXPECT_EQ(s.sum(), 0);
+  EXPECT_EQ(s.max(), 0);
+  EXPECT_EQ(s.mean(), 0.0);
+  s.add(-5);  // the first sample sets the max, whatever its sign
+  EXPECT_EQ(s.max(), -5);
+  s.reset();
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStat, MergeEqualsCombined) {
-  RunningStat a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
+TEST(IntStat, ArrivalOrderCannotMoveAnyField) {
+  // The property the span merge relies on: the same samples in any order
+  // give the same bits, the mean included.
+  IntStat fwd, rev;
+  for (int i = 0; i < 1000; ++i) {
+    fwd.add(i * 37 % 101);
+    rev.add((999 - i) * 37 % 101);
   }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a, empty;
-  a.add(2.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(0.5);
-  h.add(9.5);
-  h.add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.buckets().front(), 2);
-  EXPECT_EQ(h.buckets().back(), 2);
-}
-
-TEST(Histogram, QuantilesOrdered) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(i % 100);
-  const double q10 = h.quantile(0.10), q50 = h.quantile(0.50),
-               q99 = h.quantile(0.99);
-  EXPECT_LT(q10, q50);
-  EXPECT_LT(q50, q99);
-  EXPECT_NEAR(q50, 50.0, 2.0);
-}
-
-TEST(RateCounter, Rate) {
-  RateCounter r;
-  r.add(30);
-  r.set_window(100);
-  EXPECT_DOUBLE_EQ(r.rate(), 0.3);
-  r.reset();
-  EXPECT_DOUBLE_EQ(r.rate(), 0.0);
+  EXPECT_EQ(fwd.count(), rev.count());
+  EXPECT_EQ(fwd.sum(), rev.sum());
+  EXPECT_EQ(fwd.max(), rev.max());
+  EXPECT_EQ(fwd.mean(), rev.mean());
 }
 
 }  // namespace

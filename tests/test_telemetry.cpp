@@ -27,6 +27,8 @@ TEST(LatencyHistogram, ExactPercentilesOnKnownSamples) {
   EXPECT_EQ(h.count(), 100);
   EXPECT_EQ(h.min(), 1);
   EXPECT_EQ(h.max(), 100);
+  EXPECT_EQ(h.sum(), 5050);
+  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
   EXPECT_EQ(h.percentile(0.50), 50);
   EXPECT_EQ(h.percentile(0.95), 95);
   EXPECT_EQ(h.percentile(0.99), 99);
@@ -55,6 +57,7 @@ TEST(LatencyHistogram, OverflowFallsBackToObservedMax) {
   // resolve it, so the observed max is the documented answer.
   EXPECT_EQ(h.percentile(1.0), LatencyHistogram::kBins + 123);
   EXPECT_EQ(h.max(), LatencyHistogram::kBins + 123);
+  EXPECT_EQ(h.sum(), 5 + LatencyHistogram::kBins + 123);  // overflow counts
 }
 
 TEST(LatencyHistogram, EmptyAndReset) {
@@ -65,6 +68,8 @@ TEST(LatencyHistogram, EmptyAndReset) {
   h.add(7);
   h.reset();
   EXPECT_EQ(h.count(), 0);
+  EXPECT_EQ(h.sum(), 0);
+  EXPECT_EQ(h.mean(), 0.0);
   EXPECT_EQ(h.percentile(0.5), 0);
 }
 

@@ -287,8 +287,8 @@ TEST(ZeroAlloc, FaultedAdaptiveSteadyState) {
 
 TEST(ZeroAlloc, FaultedParallelSteppingSteadyState) {
   // The same mid-window fault schedule under span-parallel stepping: the
-  // main-thread apply_faults + on_topology_change fan-out and the capture
-  // replay of PacketDropped events must stay heap-free too.
+  // main-thread apply_faults + on_topology_change fan-out and the span
+  // merge of PacketDropped events must stay heap-free too.
   const int saved = noc::thread_budget::total();
   noc::thread_budget::set_total(8);
   NetworkConfig cfg = NetworkConfig::proposed(8);
