@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // One flat batch: every (k, row) saturation search is independent, so
-  // the runner fans them all across the pool at once.
+  // the runner fans them all across its workers at once.
   std::vector<NetworkConfig> cfgs;
   cfgs.reserve(points.size());
   for (const auto& p : points) cfgs.push_back(p.cfg);

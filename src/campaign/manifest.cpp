@@ -1,10 +1,13 @@
 #include "campaign/manifest.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 namespace noc::campaign {
 
@@ -255,20 +258,22 @@ std::string campaign_point_key(const Manifest& m, const CampaignPoint& p,
   append_int(key, "step_threads", cfg.step_threads);
   append_kv(key, "pattern", traffic_pattern_name(cfg.traffic.pattern));
   append_double(key, "offered", cfg.traffic.offered_flits_per_node_cycle);
+  // synced_bias, self_bcast, the frac_* fields and resp_len were config
+  // knobs once; they keep their fixed values in the key, so every hash in
+  // an existing result store stays valid.
   append_int(key, "identical_prbs", cfg.traffic.identical_prbs ? 1 : 0);
-  append_int(key, "synced_bias", cfg.traffic.synced_dest_bias ? 1 : 0);
-  append_int(key, "self_bcast",
-             cfg.traffic.include_self_in_broadcast ? 1 : 0);
+  append_int(key, "synced_bias", 0);
+  append_int(key, "self_bcast", 1);
   append_u64(key, "seed", cfg.traffic.seed);
-  append_double(key, "frac_bcast", cfg.traffic.frac_broadcast_request);
-  append_double(key, "frac_ureq", cfg.traffic.frac_unicast_request);
-  append_double(key, "frac_uresp", cfg.traffic.frac_unicast_response);
+  append_double(key, "frac_bcast", kMixedBroadcastFrac);
+  append_double(key, "frac_ureq", kMixedUnicastRequestFrac);
+  append_double(key, "frac_uresp", kMixedUnicastResponseFrac);
   append_kv(key, "workload", workload_kind_name(cfg.workload.kind));
   append_int(key, "mshr", cfg.workload.closed.window);
   append_double(key, "issue_prob", cfg.workload.closed.issue_prob);
   append_int(key, "dir_latency", cfg.workload.closed.directory_latency);
   append_int(key, "think", cfg.workload.closed.think_time);
-  append_int(key, "resp_len", cfg.workload.closed.response_length);
+  append_int(key, "resp_len", kResponsePacketLen);
   append_int(key, "warmup", opt.warmup);
   append_int(key, "window", opt.window);
   // Fault knobs hash CONDITIONALLY: pristine points keep their pre-fault
@@ -418,6 +423,17 @@ bool parse_on_off(const std::string& v, bool* out) {
   return false;
 }
 
+// The whole token must be one number that fits the field: "5o0", "0.05x",
+// "" and out-of-range values fail instead of loading a prefix.
+template <typename T>
+bool parse_number(const std::string& v, T* out) {
+  const char* end = v.data() + v.size();
+  const auto [p, ec] = std::from_chars(v.data(), end, *out);
+  if (ec != std::errc() || p != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
+}
+
 }  // namespace
 
 std::shared_ptr<Manifest> load_manifest(const std::string& path,
@@ -452,13 +468,15 @@ std::shared_ptr<Manifest> load_manifest(const std::string& path,
       std::fclose(f);
       return ctx.fail(what);
     };
+    bool number_ok = true;
+    auto num = [&](auto* field) { number_ok = parse_number(val, field); };
     if (cur == nullptr) {
       if (kw == "campaign") {
         m->name = val;
       } else if (kw == "warmup") {
-        m->default_warmup = std::atoll(val.c_str());
+        num(&m->default_warmup);
       } else if (kw == "window") {
-        m->default_window = std::atoll(val.c_str());
+        num(&m->default_window);
       } else if (kw == "point") {
         m->points.emplace_back();
         cur = &m->points.back();
@@ -466,10 +484,7 @@ std::shared_ptr<Manifest> load_manifest(const std::string& path,
       } else {
         return fail("unknown campaign-level keyword '" + kw + "'");
       }
-      continue;
-    }
-    // Inside a point stanza.
-    if (kw == "end") {
+    } else if (kw == "end") {  // point-stanza keywords from here on
       cur = nullptr;
     } else if (kw == "kind") {
       auto k = parse_point_kind(val);
@@ -480,22 +495,22 @@ std::shared_ptr<Manifest> load_manifest(const std::string& path,
       if (!p) return fail("unknown pipeline preset '" + val + "'");
       cur->pipeline = *p;
     } else if (kw == "k") {
-      cur->k = std::atoi(val.c_str());
+      num(&cur->k);
     } else if (kw == "ky") {
-      cur->ky = std::atoi(val.c_str());
+      num(&cur->ky);
     } else if (kw == "policy") {
       auto p = parse_route_policy(val);
       if (!p) return fail("unknown routing policy '" + val + "'");
       cur->policy = *p;
     } else if (kw == "request-vcs") {
-      cur->request_vcs = std::atoi(val.c_str());
+      num(&cur->request_vcs);
     } else if (kw == "response-vcs") {
-      cur->response_vcs = std::atoi(val.c_str());
+      num(&cur->response_vcs);
     } else if (kw == "gating") {
       if (!parse_on_off(val, &cur->gating))
         return fail("gating must be on|off");
     } else if (kw == "step-threads") {
-      cur->step_threads = std::atoi(val.c_str());
+      num(&cur->step_threads);
     } else if (kw == "workload") {
       if (val == workload_kind_name(WorkloadKind::OpenLoop) ||
           val == "open") {
@@ -513,44 +528,47 @@ std::shared_ptr<Manifest> load_manifest(const std::string& path,
       if (!p) return fail("unknown traffic pattern '" + val + "'");
       cur->pattern = *p;
     } else if (kw == "offered") {
-      cur->offered = std::atof(val.c_str());
+      num(&cur->offered);
     } else if (kw == "identical-prbs") {
       if (!parse_on_off(val, &cur->identical_prbs))
         return fail("identical-prbs must be on|off");
     } else if (kw == "seed") {
-      cur->seed = std::strtoull(val.c_str(), nullptr, 10);
+      num(&cur->seed);
     } else if (kw == "mshr-window") {
-      cur->mshr_window = std::atoi(val.c_str());
+      num(&cur->mshr_window);
     } else if (kw == "issue-prob") {
-      cur->issue_prob = std::atof(val.c_str());
+      num(&cur->issue_prob);
     } else if (kw == "directory-latency") {
-      cur->directory_latency = std::atoll(val.c_str());
+      num(&cur->directory_latency);
     } else if (kw == "think-time") {
-      cur->think_time = std::atoll(val.c_str());
+      num(&cur->think_time);
     } else if (kw == "fault-links") {
-      cur->fault_links = std::atoi(val.c_str());
+      num(&cur->fault_links);
     } else if (kw == "fault-degrade") {
-      cur->fault_degrade = std::atoi(val.c_str());
+      num(&cur->fault_degrade);
     } else if (kw == "fault-seed") {
-      cur->fault_seed = std::strtoull(val.c_str(), nullptr, 10);
+      num(&cur->fault_seed);
     } else if (kw == "fault-kill-at") {
-      cur->fault_kill_at = std::atoll(val.c_str());
+      num(&cur->fault_kill_at);
     } else if (kw == "fault-revive-after") {
-      cur->fault_revive_after = std::atoll(val.c_str());
+      num(&cur->fault_revive_after);
     } else if (kw == "telemetry") {
       if (!parse_on_off(val, &cur->telemetry))
         return fail("telemetry must be on|off");
     } else if (kw == "telemetry-sample-every") {
-      cur->telemetry_sample_every = std::atoll(val.c_str());
+      num(&cur->telemetry_sample_every);
     } else if (kw == "warmup") {
-      cur->warmup = std::atoll(val.c_str());
+      num(&cur->warmup);
     } else if (kw == "window") {
-      cur->window = std::atoll(val.c_str());
+      num(&cur->window);
     } else if (kw == "trace-from") {
       cur->trace_from = val;
     } else {
       return fail("unknown point keyword '" + kw + "'");
     }
+    if (!number_ok)
+      return fail("'" + kw + "' needs a whole number that fits the field, "
+                  "got '" + val + "'");
   }
   std::fclose(f);
   if (cur != nullptr) {

@@ -1,11 +1,9 @@
 #include "campaign/result_store.hpp"
 
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 
 #include "sim/thread_pool.hpp"
@@ -36,15 +34,6 @@ std::string ResultStore::trace_path(const std::string& hash) const {
 }
 
 namespace {
-
-bool mkdir_p(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) return true;
-  if (errno != ENOENT) return false;
-  const size_t slash = dir.find_last_of('/');
-  if (slash == std::string::npos || slash == 0) return false;
-  if (!mkdir_p(dir.substr(0, slash))) return false;
-  return ::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST;
-}
 
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -87,7 +76,10 @@ bool scan_number(const std::string& body, const char* key, double* out) {
 }  // namespace
 
 bool ResultStore::ensure_dirs() const {
-  return mkdir_p(records_dir()) && mkdir_p(traces_dir());
+  std::error_code ec;
+  std::filesystem::create_directories(records_dir(), ec);
+  if (!ec) std::filesystem::create_directories(traces_dir(), ec);
+  return !ec;
 }
 
 std::string ResultStore::serialize_record(const CampaignRecord& rec) {
@@ -196,9 +188,10 @@ bool ResultStore::has_record(const std::string& point_id,
   return load_record(point_id, hash, &rec);
 }
 
-int ResultStore::remove_campaign(const Manifest& m) const {
-  std::string err;
-  const auto resolved = resolve_manifest(m, &err);
+int ResultStore::remove_campaign(const Manifest& m,
+                                 std::string* error) const {
+  const auto resolved = resolve_manifest(m, error);
+  if (resolved.empty()) return -1;
   int removed = 0;
   for (const ResolvedPoint& r : resolved) {
     if (std::remove(record_path(r.point->id, r.hash).c_str()) == 0)
@@ -213,8 +206,8 @@ int ResultStore::remove_campaign(const Manifest& m) const {
 GatherResult gather_campaign(const Manifest& m, const ResultStore& store,
                              const std::string& out_path) {
   GatherResult g;
-  std::string err;
-  const auto resolved = resolve_manifest(m, &err);
+  const auto resolved = resolve_manifest(m, &g.error);
+  if (resolved.empty()) return g;
   std::string out;
   out.reserve(4096);
   char line[192];

@@ -65,7 +65,7 @@ class ResultStore {
                           const std::string& hash) const;
   std::string trace_path(const std::string& hash) const;
 
-  /// mkdir -p for root/records/traces. False on failure.
+  /// Create root/records and root/traces (with parents). False on failure.
   bool ensure_dirs() const;
 
   /// True when a VALID record for (point_id, hash) exists: parses, schema
@@ -84,8 +84,10 @@ class ResultStore {
   static std::string serialize_record(const CampaignRecord& rec);
 
   /// Delete the records and traces belonging to this manifest's resolved
-  /// points. Returns how many files were removed.
-  int remove_campaign(const Manifest& m) const;
+  /// points. Returns how many files were removed, or -1 with the
+  /// resolve_manifest diagnostic in *error (when non-null) if the manifest
+  /// is invalid; then nothing is removed.
+  int remove_campaign(const Manifest& m, std::string* error = nullptr) const;
 
  private:
   std::string root_;
@@ -95,11 +97,14 @@ class ResultStore {
 /// `out_path` (rows named "<campaign>/<point-id>", items_per_second plus
 /// every other report metric as extras) consumable by
 /// tools/check_perf_regression.py. Points without a valid record are
-/// returned in `missing`; the report is still written for the rest.
+/// returned in `missing`; the report is still written for the rest. An
+/// invalid manifest writes nothing and returns the resolve_manifest
+/// diagnostic in `error`.
 struct GatherResult {
   int complete = 0;
   std::vector<std::string> missing;
   bool wrote = false;
+  std::string error;
 };
 GatherResult gather_campaign(const Manifest& m, const ResultStore& store,
                              const std::string& out_path);

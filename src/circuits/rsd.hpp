@@ -28,8 +28,6 @@ struct RsdParams {
   /// single-cycle ST+LT points: 5.4 GHz at 1mm and 2.6 GHz at 2mm.
   double t_fixed_ps = 68.6;
   double activity = 0.5;           // PRBS data
-
-  double lvdd_v() const { return swing_v + lvdd_headroom_v; }
 };
 
 struct FullSwingRepeaterParams {

@@ -32,9 +32,6 @@ class ActiveList {
   int universe() const { return static_cast<int>(member_.size()); }
   int size() const { return static_cast<int>(items_.size()); }
   bool empty() const { return items_.empty(); }
-  bool contains(int id) const {
-    return member_[static_cast<size_t>(id)] != 0;
-  }
 
   /// Idempotent; returns true when newly inserted.
   bool insert(int id) {

@@ -1,7 +1,7 @@
 #include "common/table.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 namespace noc {
@@ -15,13 +15,6 @@ Table& Table::set_columns(std::vector<std::string> headers) {
 
 Table& Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
-  is_separator_.push_back(false);
-  return *this;
-}
-
-Table& Table::add_separator() {
-  rows_.emplace_back();
-  is_separator_.push_back(true);
   return *this;
 }
 
@@ -57,40 +50,8 @@ void Table::print() const {
     print_cells(headers_);
     print_rule();
   }
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (is_separator_[i])
-      print_rule();
-    else
-      print_cells(rows_[i]);
-  }
+  for (const auto& r : rows_) print_cells(r);
   print_rule();
-}
-
-bool Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      std::string v = cells[c];
-      const bool needs_quote = v.find_first_of(",\"\n") != std::string::npos;
-      if (needs_quote) {
-        std::string q = "\"";
-        for (char ch : v) {
-          if (ch == '"') q += '"';
-          q += ch;
-        }
-        q += '"';
-        v = q;
-      }
-      out << v;
-      if (c + 1 < cells.size()) out << ',';
-    }
-    out << '\n';
-  };
-  if (!headers_.empty()) emit(headers_);
-  for (size_t i = 0; i < rows_.size(); ++i)
-    if (!is_separator_[i]) emit(rows_[i]);
-  return static_cast<bool>(out);
 }
 
 std::string Table::fmt(double v, int precision) {

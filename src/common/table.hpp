@@ -1,8 +1,6 @@
 #pragma once
-// Aligned console tables and CSV emission for the bench harnesses.
-//
-// Every bench binary prints the paper's table/figure as rows on stdout and
-// can optionally mirror them to a CSV file for plotting.
+// Aligned console tables for the bench harnesses: every bench binary prints
+// the paper's table/figure as rows on stdout.
 
 #include <string>
 #include <vector>
@@ -19,15 +17,8 @@ class Table {
   /// header; missing cells render empty.
   Table& add_row(std::vector<std::string> cells);
 
-  /// Append a horizontal separator row.
-  Table& add_separator();
-
   /// Render to stdout with column alignment.
   void print() const;
-
-  /// Render to CSV (RFC-4180-ish quoting) at `path`; returns false on I/O
-  /// failure. Separator rows are skipped.
-  bool write_csv(const std::string& path) const;
 
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
@@ -40,7 +31,6 @@ class Table {
   std::string title_;
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<bool> is_separator_;
 };
 
 }  // namespace noc

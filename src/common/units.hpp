@@ -1,40 +1,12 @@
 #pragma once
-// Unit helpers. The simulator works in cycles and flits; the paper reports
-// Gb/s, mW and pJ. Conversions live here so every bench uses identical
-// arithmetic (e.g. the paper's 1024 Gb/s ejection-limit conversion:
+// Unit conversion shared by every bench: the simulator works in cycles and
+// flits, the paper reports Gb/s (e.g. the 1024 Gb/s ejection limit is
 // 16 nodes x 64 b/flit x 1 flit/cycle x 1 GHz).
-
-#include <cstdint>
 
 namespace noc {
 
-constexpr double kFlitBits = 64.0;        // paper: 64-bit flits
-constexpr double kDefaultClockGHz = 1.0;  // paper: 1 GHz network clock
-
-/// flits-per-cycle (aggregate) -> Gb/s at `ghz` clock.
-constexpr double flits_per_cycle_to_gbps(double fpc, double ghz = kDefaultClockGHz,
-                                         double flit_bits = kFlitBits) {
-  return fpc * flit_bits * ghz;
-}
-
-/// Gb/s -> aggregate flits-per-cycle.
-constexpr double gbps_to_flits_per_cycle(double gbps, double ghz = kDefaultClockGHz,
-                                         double flit_bits = kFlitBits) {
-  return gbps / (flit_bits * ghz);
-}
-
-/// Joules per event * events per second -> watts. Convenience aliases keep
-/// the power code readable (pJ * GHz = mW).
-constexpr double pj_per_cycle_to_mw(double pj, double ghz = kDefaultClockGHz) {
-  return pj * ghz;  // 1 pJ/cycle at 1 GHz = 1 mW
-}
-
-constexpr double kMilli = 1e-3;
-constexpr double kMicro = 1e-6;
-constexpr double kNano = 1e-9;
-constexpr double kPico = 1e-12;
-constexpr double kFemto = 1e-15;
-constexpr double kGiga = 1e9;
-constexpr double kMega = 1e6;
+/// Aggregate flits per cycle -> Gb/s for 64-bit flits at the paper's 1 GHz
+/// network clock.
+constexpr double flits_per_cycle_to_gbps(double fpc) { return fpc * 64.0; }
 
 }  // namespace noc

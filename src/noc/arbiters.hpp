@@ -36,7 +36,6 @@ class RoundRobinArbiter {
   int peek(uint32_t requests) const;
 
   int size() const { return n_; }
-  int pointer() const { return next_; }
 
  private:
   uint32_t valid_mask() const {

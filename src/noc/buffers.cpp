@@ -127,12 +127,6 @@ void DownstreamState::release_vc(int vc) {
   free_.set(vc);
 }
 
-VcMask DownstreamState::lane_members(MsgClass mc, VcLane lane) const {
-  const int m = static_cast<int>(mc);
-  if (lane == VcLane::Any) return class_member_[m];
-  return member_[m][static_cast<int>(lane)];
-}
-
 void DownstreamState::consume_credit(int vc) {
   NOC_EXPECTS(credits_[static_cast<size_t>(vc)] > 0);
   if (--credits_[static_cast<size_t>(vc)] == 0) credit_.clear(vc);

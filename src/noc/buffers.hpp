@@ -131,7 +131,6 @@ class InputVc {
 
   bool busy() const { return busy_; }
   bool empty() const { return fifo_.empty(); }
-  int occupancy() const { return fifo_.size(); }
   int depth() const { return depth_; }
 
   /// Allocate this VC to a packet and install its branches. The head's
@@ -233,8 +232,6 @@ class DownstreamState {
   /// against a from-scratch recompute).
   VcMask free_mask() const { return free_; }
   VcMask credit_mask() const { return credit_; }
-  /// Static per-(mc, lane) VC membership, fixed at configure().
-  VcMask lane_members(MsgClass mc, VcLane lane) const;
 
   const VcConfig& config() const { return cfg_; }
 

@@ -12,20 +12,19 @@ namespace noc {
 
 double deliveries_per_offered_flit(const NetworkConfig& cfg) {
   const MeshGeometry geom(cfg.k, cfg.ky > 0 ? cfg.ky : cfg.k);
+  // A broadcast flit is delivered at every node, the source included.
   const auto n = static_cast<double>(geom.num_nodes());
-  const double bdel =
-      cfg.traffic.include_self_in_broadcast ? n : n - 1.0;  // per bcast flit
   switch (cfg.traffic.pattern) {
     case TrafficPattern::BroadcastOnly:
-      return bdel;
+      return n;
     case TrafficPattern::MixedPaper: {
       // Per logical packet: flits offered and flits delivered.
-      const double offered = cfg.traffic.frac_broadcast_request * 1.0 +
-                             cfg.traffic.frac_unicast_request * 1.0 +
-                             cfg.traffic.frac_unicast_response * 5.0;
-      const double delivered = cfg.traffic.frac_broadcast_request * bdel +
-                               cfg.traffic.frac_unicast_request * 1.0 +
-                               cfg.traffic.frac_unicast_response * 5.0;
+      const double offered = kMixedBroadcastFrac * 1.0 +
+                             kMixedUnicastRequestFrac * 1.0 +
+                             kMixedUnicastResponseFrac * 5.0;
+      const double delivered = kMixedBroadcastFrac * n +
+                               kMixedUnicastRequestFrac * 1.0 +
+                               kMixedUnicastResponseFrac * 5.0;
       return delivered / offered;
     }
     default:

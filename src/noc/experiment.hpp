@@ -129,7 +129,7 @@ double deliveries_per_offered_flit(const NetworkConfig& cfg);
 struct ExperimentOptions {
   MeasureOptions measure;
   /// Worker threads for independent sweep points. 0 = all hardware threads;
-  /// 1 = serial (no pool).
+  /// 1 = serial (no worker threads).
   int threads = 0;
 };
 
@@ -139,8 +139,9 @@ struct SweepPoint {
   double offered = 0;
 };
 
-/// Fans independent sweep points (and whole saturation searches) across a
-/// thread pool. Results are bit-identical to the serial free functions.
+/// Fans independent sweep points (and whole saturation searches) across
+/// worker threads (parallel_for). Results are bit-identical to the serial
+/// free functions.
 class ExperimentRunner {
  public:
   ExperimentRunner() = default;
@@ -148,7 +149,6 @@ class ExperimentRunner {
 
   /// Resolved worker count (>= 1).
   int threads() const;
-  const ExperimentOptions& options() const { return opt_; }
 
   /// Measure every point; results align index-for-index with `points`.
   std::vector<PointResult> run(const std::vector<SweepPoint>& points) const;

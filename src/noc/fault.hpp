@@ -129,9 +129,6 @@ class FaultState {
   bool port_dead(NodeId n, PortDir p) const {
     return dead_[static_cast<size_t>(n)].test(port_index(p));
   }
-  const PortMask& dead_ports(NodeId n) const {
-    return dead_[static_cast<size_t>(n)];
-  }
   bool degraded(NodeId n) const {
     return degraded_[static_cast<size_t>(n)] != 0;
   }

@@ -30,7 +30,6 @@ enum class FlitType : uint8_t { Head, Body, Tail, HeadTail };
 /// class is sticky from that hop on (the escape subnetwork must stay
 /// acyclic end-to-end).
 enum class RouteClass : uint8_t { XY = 0, YX = 1, Adaptive = 2, Escape = 3 };
-constexpr int kNumRouteClasses = 4;
 
 inline bool is_head(FlitType t) {
   return t == FlitType::Head || t == FlitType::HeadTail;
@@ -81,9 +80,6 @@ struct Flit {
   /// Cycle the head flit entered the network (left the NIC).
   Cycle inject_cycle = 0;
 };
-
-// Human-readable formatting lives in noc/debug.hpp: the hot-path Flit TU
-// must not pull in <string> (docs/PERF.md).
 
 /// Credit / VC-free signal returned upstream (paper Fig 1 "credit signals").
 struct Credit {

@@ -199,20 +199,6 @@ double Metrics::max_bisection_link_load() const {
   return static_cast<double>(worst) / static_cast<double>(w);
 }
 
-double Metrics::avg_bisection_link_load() const {
-  const Cycle w = window_cycles();
-  if (w <= 0) return 0.0;
-  const int xw = geom_.kx() / 2 - 1;
-  int64_t total = 0;
-  for (int y = 0; y < geom_.ky(); ++y) {
-    const NodeId west = geom_.id(xw, y), east = geom_.id(xw + 1, y);
-    total += link_flits_[static_cast<size_t>(west)][port_index(PortDir::East)];
-    total += link_flits_[static_cast<size_t>(east)][port_index(PortDir::West)];
-  }
-  return static_cast<double>(total) / static_cast<double>(2 * geom_.ky()) /
-         static_cast<double>(w);
-}
-
 double Metrics::max_ejection_link_load() const {
   const Cycle w = window_cycles();
   if (w <= 0) return 0.0;

@@ -150,7 +150,6 @@ class Metrics {
 
   void begin_window(Cycle now);
   void end_window(Cycle now);
-  bool in_window() const { return in_window_; }
   Cycle window_cycles() const;
 
   // ---- results ----
@@ -176,10 +175,9 @@ class Metrics {
   /// (fault mode only; always 0 on a pristine mesh).
   int64_t dropped_packets() const { return window_packets_dropped_; }
 
-  /// Flits per cycle on the busiest / average bisection link (the k vertical
-  /// cut E/W channels in each direction), Table 1's L_bisection.
+  /// Flits per cycle on the busiest bisection link (the k vertical cut E/W
+  /// channels in each direction), Table 1's L_bisection.
   double max_bisection_link_load() const;
-  double avg_bisection_link_load() const;
   /// Flits per cycle on the busiest ejection (router->NIC) link, L_ejection.
   double max_ejection_link_load() const;
   double avg_ejection_link_load() const;

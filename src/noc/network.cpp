@@ -94,28 +94,22 @@ Network::Network(const NetworkConfig& cfg)
 
   // Components record into their span's shards; a single span records
   // straight into the network-wide sinks.
-  auto energy_for = [&](NodeId node) {
-    return sharded() ? &span_of(node).energy : &energy_;
+  auto energy_for = [&](NodeId node) -> EnergyCounters& {
+    return sharded() ? span_of(node).energy : energy_;
   };
-  auto metrics_for = [&](NodeId node) {
-    return sharded() ? span_of(node).metrics.get() : &metrics_;
+  auto metrics_for = [&](NodeId node) -> Metrics& {
+    return sharded() ? *span_of(node).metrics : metrics_;
   };
 
   routers_.reserve(static_cast<size_t>(n));
   sources_.reserve(static_cast<size_t>(n));
   nics_.reserve(static_cast<size_t>(n));
-  // Resolve a file-backed trace once for all nodes.
-  std::shared_ptr<const Trace> trace;
-  if (cfg.workload.kind == WorkloadKind::Trace) {
-    trace = resolve_trace(cfg.workload.trace);
-    NOC_EXPECTS(trace != nullptr);
-  }
   for (NodeId node = 0; node < n; ++node) {
     routers_.push_back(std::make_unique<Router>(node, geom_, cfg.router,
                                                 energy_for(node),
                                                 metrics_for(node)));
     sources_.push_back(
-        make_traffic_source(geom_, cfg.traffic, cfg.workload, node, trace));
+        make_traffic_source(geom_, cfg.traffic, cfg.workload, node));
     nics_.push_back(std::make_unique<Nic>(node, geom_, cfg.router,
                                           sources_.back().get(),
                                           energy_for(node),

@@ -6,7 +6,7 @@
 namespace noc {
 
 Nic::Nic(NodeId node, const MeshGeometry& geom, const RouterConfig& router_cfg,
-         TrafficSource* source, EnergyCounters* energy, Metrics* metrics)
+         TrafficSource* source, EnergyCounters& energy, Metrics& metrics)
     : node_(node),
       geom_(geom),
       router_cfg_(router_cfg),
@@ -31,9 +31,8 @@ PacketKind Nic::classify(const Packet& pkt) const {
 }
 
 void Nic::account_new_packet(const Packet& pkt, Cycle now) {
-  if (metrics_ == nullptr) return;
-  metrics_->on_logical_packet(pkt.id, classify(pkt), pkt.gen_cycle,
-                              pkt.dest_mask.count());
+  metrics_.on_logical_packet(pkt.id, classify(pkt), pkt.gen_cycle,
+                             pkt.dest_mask.count());
   (void)now;
 }
 
@@ -80,8 +79,7 @@ void Nic::submit_packet(Packet pkt) {
       if (!ok) dead.set(d);
     });
     if (dead.any()) {
-      if (metrics_)
-        metrics_->on_packet_dropped(pkt.id, dead.count(), pkt.gen_cycle);
+      metrics_.on_packet_dropped(pkt.id, dead.count(), pkt.gen_cycle);
       source_->on_drop(pkt, dead, pkt.gen_cycle);
       pkt.dest_mask = pkt.dest_mask.andnot(dead);
       if (pkt.dest_mask.none()) return;
@@ -96,22 +94,12 @@ void Nic::submit_packet(Packet pkt) {
     // The source's own copy is delivered locally without network traversal.
     const DestMask self_bit = MeshGeometry::node_mask(node_);
     if (pkt.dest_mask.test(node_)) {
-      Flit f;
-      f.packet_id = pkt.id;
-      f.logical_id = pkt.effective_logical_id();
-      f.src = node_;
-      f.branch_mask = self_bit;
-      f.mc = pkt.mc;
-      f.tag = pkt.tag;
-      f.packet_len = pkt.length;
-      f.gen_cycle = pkt.gen_cycle;
-      for (int s = 0; s < pkt.length; ++s) {
-        f.seq = s;
-        f.type = pkt.length == 1 ? FlitType::HeadTail
-                 : s == 0        ? FlitType::Head
-                 : s == pkt.length - 1 ? FlitType::Tail
-                                       : FlitType::Body;
-        if (metrics_) metrics_->on_flit_received(f.logical_id, f, pkt.gen_cycle);
+      Packet self = pkt;
+      self.dest_mask = self_bit;
+      FlitList flits;
+      segment_packet_into(self, nullptr, 0, flits);
+      for (const Flit& f : flits) {
+        metrics_.on_flit_received(f.logical_id, f, pkt.gen_cycle);
         source_->on_delivery(f, pkt.gen_cycle);
       }
     }
@@ -139,7 +127,7 @@ bool Nic::try_activate(MsgClass mc) {
   if (queue_[m].empty()) return false;
   const int vc = ds_.allocate_vc(mc);
   if (vc < 0) return false;
-  if (energy_) ++energy_->vc_allocations;
+  ++energy_.vc_allocations;
   Packet pkt = queue_[m].pop_front();
   uint64_t payloads[kMaxPacketFlits];
   NOC_ASSERT(pkt.length <= kMaxPacketFlits);
@@ -166,14 +154,14 @@ void Nic::send_flit(MsgClass mc, Cycle now) {
   ds_.consume_credit(tx.vc);
   NOC_ASSERT(ch_.flit_to_router != nullptr);
   ch_.flit_to_router->send(now, f);
-  if (energy_) ++energy_->nic_link_traversals;
-  if (metrics_) metrics_->on_injection_link(node_);
+  ++energy_.nic_link_traversals;
+  metrics_.on_injection_link(node_);
   if (router_cfg_.has_bypass() && ch_.la_to_router != nullptr) {
     Lookahead la;
     la.in_port = port_index(PortDir::Local);
     la.flit = f;
     ch_.la_to_router->send(now, la);
-    if (energy_) ++energy_->lookaheads_sent;
+    ++energy_.lookaheads_sent;
   }
   if (tx.done()) active_[m].reset();
 }
@@ -234,7 +222,7 @@ void Nic::tick_eject(Cycle now) {
   if (telemetry_ != nullptr && is_tail(f.type) &&
       telemetry_->tracing(f.logical_id))
     telemetry_->trace(TraceEventType::Eject, now, f.logical_id, node_);
-  if (metrics_) metrics_->on_flit_received(f.logical_id, f, now);
+  metrics_.on_flit_received(f.logical_id, f, now);
   source_->on_delivery(f, now);
   // The delivery may have unblocked the source (a closed-loop response
   // becoming due, a retired miss reopening the window): re-arm injection.

@@ -49,7 +49,7 @@ class Nic {
 
   /// `source` must outlive the NIC (the Network owns both).
   Nic(NodeId node, const MeshGeometry& geom, const RouterConfig& router_cfg,
-      TrafficSource* source, EnergyCounters* energy, Metrics* metrics);
+      TrafficSource* source, EnergyCounters& energy, Metrics& metrics);
 
   void connect(const Channels& ch) { ch_ = ch; }
 
@@ -114,8 +114,8 @@ class Nic {
   NodeId node_;
   const MeshGeometry& geom_;
   RouterConfig router_cfg_;
-  EnergyCounters* energy_;
-  Metrics* metrics_;
+  EnergyCounters& energy_;
+  Metrics& metrics_;
   TrafficSource* source_;
   const FaultState* faults_ = nullptr;
   Telemetry* telemetry_ = nullptr;

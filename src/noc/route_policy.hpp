@@ -44,7 +44,6 @@
 namespace noc {
 
 enum class RoutePolicy : uint8_t { XY = 0, YX = 1, O1Turn = 2, MinimalAdaptive = 3 };
-constexpr int kNumRoutePolicies = 4;
 
 const char* route_policy_name(RoutePolicy p);
 

@@ -7,7 +7,7 @@
 namespace noc {
 
 Router::Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
-               EnergyCounters* energy, Metrics* metrics)
+               EnergyCounters& energy, Metrics& metrics)
     : node_(node), geom_(geom), cfg_(cfg), energy_(energy), metrics_(metrics) {
   // Lane-splitting policies partition each message class's VCs; a class
   // whose Free lane would be empty could never allocate for half its
@@ -68,36 +68,6 @@ PortMask Router::internal_work_ports() const {
   return m;
 }
 
-void Router::dump_state(FILE* out) const {
-  if (idle()) return;
-  std::fprintf(out, "router %d:\n", node_);
-  for (int p = 0; p < kNumPorts; ++p) {
-    const auto& ip = in_[static_cast<size_t>(p)];
-    for (int v = 0; v < cfg_.vc.total_vcs(); ++v) {
-      const auto& ivc = ip.vcs[static_cast<size_t>(v)];
-      if (!ivc.busy()) continue;
-      std::fprintf(out, "  in[%s] vc%d occ=%d front_seq=%d acc=%d/%d:",
-                   port_name(port_dir(p)), v, ivc.occupancy(), ivc.front_seq(),
-                   ivc.accepted_flits, ivc.packet_len);
-      for (const auto& b : ivc.branches())
-        std::fprintf(out, " [%s seq=%d dsvc=%d%s cred=%d]",
-                     port_name(b.out), b.next_seq, b.ds_vc,
-                     b.tail_sent ? " done" : "",
-                     b.ds_vc >= 0
-                         ? out_[static_cast<size_t>(port_index(b.out))].ds.credits(
-                               b.ds_vc)
-                         : -1);
-      std::fprintf(out, "%s\n", ip.stage2_vc == v ? "  <stage2>" : "");
-    }
-    if (ip.st.valid)
-      std::fprintf(out, "  in[%s] st_latch vc%d seq%d\n",
-                   port_name(port_dir(p)), ip.st.vc, ip.st.seq);
-    if (ip.bypass.valid)
-      std::fprintf(out, "  in[%s] bypass vc%d seq%d\n",
-                   port_name(port_dir(p)), ip.bypass.vc, ip.bypass.seq);
-  }
-}
-
 void Router::tick(Cycle now) {
   // Port-gated sweep set: carried-over work plus this cycle's deliveries.
   // Every phase below only ever ACTS on a port in this set -- an excluded
@@ -128,7 +98,7 @@ void Router::tick(Cycle now) {
     phase_sa2(now, active);
     phase_sa1_va(now, active);
   }
-  if (energy_) energy_->vc_active_cycles += busy_.count();
+  energy_.vc_active_cycles += busy_.count();
 }
 
 void Router::apply_credits(Cycle, const PortMask& active) {
@@ -296,7 +266,7 @@ void Router::forward_copy(Cycle now, const Flit& f, const GrantOut& go) {
   copy.branch_mask = go.dests;
   copy.vc = go.ds_vc;
   copy.rc = downstream_rc(f, go);
-  if (energy_) ++energy_->xbar_traversals;
+  ++energy_.xbar_traversals;
   auto* out_ch = in_[static_cast<size_t>(port_index(go.out))].ch.flit_out;
   NOC_ASSERT(out_ch != nullptr);
   if (cfg_.pipeline == PipelineMode::FourStage) {
@@ -306,13 +276,11 @@ void Router::forward_copy(Cycle now, const Flit& f, const GrantOut& go) {
     return;
   }
   // Fused ST+LT: the copy is on the wire this cycle.
-  if (energy_) {
-    if (go.out == PortDir::Local)
-      ++energy_->nic_link_traversals;
-    else
-      ++energy_->link_traversals;
-  }
-  if (metrics_) metrics_->on_link_flit(node_, go.out);
+  if (go.out == PortDir::Local)
+    ++energy_.nic_link_traversals;
+  else
+    ++energy_.link_traversals;
+  metrics_.on_link_flit(node_, go.out);
   out_ch->send(now, copy);
 }
 
@@ -327,7 +295,7 @@ void Router::send_lookahead(Cycle now, const Flit& f, const GrantOut& go) {
   la.flit.vc = go.ds_vc;
   la.flit.rc = downstream_rc(f, go);
   la_ch->send(now, la);
-  if (energy_) ++energy_->lookaheads_sent;
+  ++energy_.lookaheads_sent;
 }
 
 void Router::send_credit_upstream(Cycle now, int port, int vc, bool vc_free) {
@@ -390,13 +358,11 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
       if (!op.lt.has_value()) continue;
       auto* ch = in_[static_cast<size_t>(o)].ch.flit_out;
       NOC_ASSERT(ch != nullptr);
-      if (energy_) {
-        if (port_dir(o) == PortDir::Local)
-          ++energy_->nic_link_traversals;
-        else
-          ++energy_->link_traversals;
-      }
-      if (metrics_) metrics_->on_link_flit(node_, port_dir(o));
+      if (port_dir(o) == PortDir::Local)
+        ++energy_.nic_link_traversals;
+      else
+        ++energy_.link_traversals;
+      metrics_.on_link_flit(node_, port_dir(o));
       ch->send(now, *op.lt);
       op.lt.reset();
     }
@@ -414,7 +380,7 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
     // Safe to borrow: forward_copy only sends downstream, and the pops in
     // retire_sent_flits happen after the loop.
     const Flit& f = ivc.flit_at_seq(ip.st.seq);
-    if (energy_) ++energy_->buffer_reads;
+    ++energy_.buffer_reads;
     for (const auto& go : ip.st.outs) forward_copy(now, f, go);
     ip.st.valid = false;  // in-place: a fresh StLatch would re-run the
     ip.st.outs.clear();   // GrantList constructors (see granted_scratch_)
@@ -442,7 +408,7 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
       for (const auto& go : ip.bypass.outs) forward_copy(now, f, go);
       ++ivc.accepted_flits;
       if (ip.bypass.full) {
-        if (energy_) ++energy_->bypasses;
+        ++energy_.bypasses;
         const bool last = is_tail(f.type) && ivc.all_branches_done();
         send_credit_upstream(now, p, f.vc, last);
         if (ivc.empty() && ivc.all_branches_done()) {
@@ -454,10 +420,8 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
         }
       } else {
         // Partial bypass: the flit stays buffered for the remaining branches.
-        if (energy_) {
-          ++energy_->partial_bypasses;
-          ++energy_->buffer_writes;
-        }
+        ++energy_.partial_bypasses;
+        ++energy_.buffer_writes;
         ivc.push(f);
       }
       ip.bypass.valid = false;
@@ -470,10 +434,8 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
     NOC_ASSERT(ivc.busy());
     ivc.push(f);
     ++ivc.accepted_flits;
-    if (energy_) {
-      ++energy_->buffer_writes;
-      ++energy_->buffered_hops;
-    }
+    ++energy_.buffer_writes;
+    ++energy_.buffered_hops;
   }
 }
 
@@ -514,7 +476,7 @@ void Router::process_lookaheads(Cycle now, const PortMask& active,
     if (!ip.connected || ip.ch.la_in == nullptr) continue;
     for (const Lookahead& la : ip.ch.la_in->arrivals()) {
       NOC_ASSERT(la.in_port == p);
-      if (energy_) ++energy_->sa2_arbitrations;
+      ++energy_.sa2_arbitrations;
       auto& ivc = ip.vcs[static_cast<size_t>(la.flit.vc)];
 
       // Install route state for an incoming head even if the bypass fails:
@@ -588,7 +550,7 @@ void Router::process_lookaheads(Cycle now, const PortMask& active,
           go.ds_vc = ds.allocate_vc(la.flit.mc, branch_lane(ivc.rc(), go.out));
           NOC_ASSERT(go.ds_vc >= 0);
           br->ds_vc = go.ds_vc;
-          if (energy_) ++energy_->vc_allocations;
+          ++energy_.vc_allocations;
         }
         ds.consume_credit(go.ds_vc);
         out_claimed[static_cast<size_t>(port_index(go.out))] = true;
@@ -655,7 +617,7 @@ void Router::arbitrate_buffered(Cycle now,
       continue;
     }
     if (requests[static_cast<size_t>(o)].none()) continue;
-    if (energy_) ++energy_->sa2_arbitrations;
+    ++energy_.sa2_arbitrations;
     const int w =
         out_[static_cast<size_t>(o)].sa2.arbitrate(requests[static_cast<size_t>(o)]);
     NOC_ASSERT(w >= 0);
@@ -783,7 +745,7 @@ void Router::phase_sa1_va(Cycle now, const PortMask& active) {
       ip.stage2_vc = -1;
       continue;
     }
-    if (energy_) ++energy_->sa1_arbitrations;
+    ++energy_.sa1_arbitrations;
     ip.stage2_vc = ip.sa1.arbitrate(eligible);
     // Eligible non-winners lost mSA-I this cycle.
     if (telemetry_ != nullptr && eligible.count() > 1)
@@ -854,7 +816,7 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
               mc, VcLane::Any);
       if (vc >= 0) {
         b.ds_vc = vc;
-        if (energy_) ++energy_->vc_allocations;
+        ++energy_.vc_allocations;
         if (traced)
           telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(),
                             node_);
@@ -877,7 +839,7 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
     if (!aim_dead && aim_ds.has_free_vc(mc, VcLane::Free)) {
       b.out = aim;
       b.ds_vc = aim_ds.allocate_vc(mc, VcLane::Free);
-      if (energy_) ++energy_->vc_allocations;
+      ++energy_.vc_allocations;
       if (traced)
         telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
       return;
@@ -888,7 +850,7 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
     if (esc_ds.has_free_vc(mc, VcLane::Ordered)) {
       b.out = esc;
       b.ds_vc = esc_ds.allocate_vc(mc, VcLane::Ordered);
-      if (energy_) ++energy_->vc_allocations;
+      ++energy_.vc_allocations;
       if (traced)
         telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
       return;
@@ -926,7 +888,7 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
         mc, branch_lane(ivc.rc(), b.out));
     if (vc >= 0) {
       b.ds_vc = vc;
-      if (energy_) ++energy_->vc_allocations;
+      ++energy_.vc_allocations;
       if (traced)
         telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
     }
@@ -950,9 +912,8 @@ void Router::fault_tick(Cycle now) {
         if (!b.drop || b.tail_sent) continue;
         if (!ivc.has_seq(b.next_seq)) continue;  // flit not yet arrived
         const Flit f = ivc.flit_at_seq(b.next_seq);
-        if (is_tail(f.type) && metrics_ != nullptr)
-          metrics_->on_packet_dropped(f.logical_id,
-                                      b.dests.count(), now);
+        if (is_tail(f.type))
+          metrics_.on_packet_dropped(f.logical_id, b.dests.count(), now);
         advance_branch(b, f);
         if (b.tail_sent) --open_drop_branches_;
         swept = true;

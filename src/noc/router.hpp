@@ -77,10 +77,6 @@ struct RouterConfig {
   VcConfig vc;
 
   bool has_bypass() const { return pipeline == PipelineMode::Proposed; }
-  /// Buffered-path pipeline depth in cycles (BW/SA-I .. flit on the link).
-  int buffered_stages() const {
-    return pipeline == PipelineMode::FourStage ? 4 : 3;
-  }
 };
 
 /// Lookahead signal (paper: 15 bits -- output-port vector from NRC plus VC
@@ -104,7 +100,7 @@ class Router {
   };
 
   Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
-         EnergyCounters* energy, Metrics* metrics);
+         EnergyCounters& energy, Metrics& metrics);
 
   void connect(PortDir port, const PortChannels& ch);
 
@@ -125,15 +121,6 @@ class Router {
   uint64_t* arm_port_wake() {
     port_wake_armed_ = true;
     return wake_ports_.word_ptr(0);
-  }
-
-  /// SoA busy-VC set (bit vc_bit(p, v) <=> input VC v of port p holds a
-  /// packet); exposed for the zero-alloc / equivalence tests' cross-checks.
-  const VcSetMask& busy_vcs() const { return busy_; }
-
-  /// Downstream credit/VC view of an output port (exposed for tests).
-  const DownstreamState& downstream(PortDir out) const {
-    return out_[port_index(out)].ds;
   }
 
   /// Attach the network's fault-schedule state (docs/FAULTS.md). Called
@@ -157,9 +144,6 @@ class Router {
   /// longer matches convert in place to drop branches (graceful drain;
   /// docs/FAULTS.md). Adaptive packets need nothing -- VA re-aims them.
   void on_topology_change(Cycle now);
-
-  /// Human-readable dump of all non-idle state (debugging stuck networks).
-  void dump_state(FILE* out) const;
 
  private:
   struct GrantOut {
@@ -301,8 +285,8 @@ class Router {
   NodeId node_;
   const MeshGeometry& geom_;
   RouterConfig cfg_;
-  EnergyCounters* energy_;
-  Metrics* metrics_;
+  EnergyCounters& energy_;
+  Metrics& metrics_;
   /// Fault-schedule view (nullptr on pristine networks: every fault check
   /// compiles to one branch on this pointer). Updated by the Network on the
   /// main thread at cycle boundaries only.

@@ -6,17 +6,6 @@
 
 namespace noc {
 
-const char* port_name(PortDir d) {
-  switch (d) {
-    case PortDir::North: return "N";
-    case PortDir::East: return "E";
-    case PortDir::South: return "S";
-    case PortDir::West: return "W";
-    case PortDir::Local: return "L";
-  }
-  return "?";
-}
-
 PortDir opposite(PortDir out) {
   switch (out) {
     case PortDir::North: return PortDir::South;

@@ -34,7 +34,6 @@ using PortMask = BitMask<kNumPorts>;
 
 inline int port_index(PortDir d) { return static_cast<int>(d); }
 inline PortDir port_dir(int i) { return static_cast<PortDir>(i); }
-const char* port_name(PortDir d);
 
 /// Direction a flit ENTERS the neighbor when leaving through `out`.
 PortDir opposite(PortDir out);

@@ -22,10 +22,8 @@ Telemetry::Telemetry(int num_nodes, const TelemetryConfig& cfg)
       trace_on_(cfg.trace_sample_every > 0) {
   NOC_EXPECTS(num_nodes > 0);
   rows_.resize(static_cast<size_t>(num_nodes));
-  samples_.reserve(static_cast<size_t>(cfg_.max_samples > 0 ? cfg_.max_samples
-                                                            : 0));
-  events_.reserve(static_cast<size_t>(
-      trace_on_ && cfg_.max_trace_events > 0 ? cfg_.max_trace_events : 0));
+  samples_.reserve(kMaxTelemetrySamples);
+  if (trace_on_) events_.reserve(kMaxTraceEvents);
   // Fault schedules are short (tens of events); one page of markers is
   // plenty and keeps record_fault allocation-free mid-run.
   markers_.reserve(256);

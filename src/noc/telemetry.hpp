@@ -54,6 +54,12 @@ constexpr int kNumStallClasses = 5;
 
 const char* stall_class_name(StallClass c);
 
+/// Time-series ring capacity; sampling stops (silently) when full.
+constexpr int kMaxTelemetrySamples = 1 << 14;
+/// Trace event buffer capacity; tracing stops when full, keeping saturated
+/// runs bounded.
+constexpr int kMaxTraceEvents = 1 << 16;
+
 /// Knobs (NetworkConfig::telemetry). Default-constructed = fully off.
 struct TelemetryConfig {
   /// Master gate: off = Network never constructs a Telemetry instance and
@@ -61,14 +67,9 @@ struct TelemetryConfig {
   bool enabled = false;
   /// Time-series sampling period in cycles; 0 = no time series.
   Cycle sample_every = 0;
-  /// Time-series ring capacity; sampling stops (silently) when full.
-  int max_samples = 1 << 14;
   /// Packet-lifecycle trace: sample packets with logical_id % this == 0;
   /// 0 = no packet trace, 1 = every packet. Serial stepping only.
   uint64_t trace_sample_every = 0;
-  /// Trace event buffer capacity; tracing stops when full, keeping
-  /// saturated runs bounded.
-  int max_trace_events = 1 << 16;
 };
 
 /// One time-series sample (cumulative counters, not per-interval deltas:
@@ -159,7 +160,6 @@ class Telemetry {
   /// Permanently disable packet tracing (Network calls this when stepping
   /// in parallel: the event buffer is shared across span workers).
   void disable_tracing() { trace_on_ = false; }
-  bool tracing_enabled() const { return trace_on_; }
 
   /// Is this logical packet sampled for tracing? Hot-path guard: callers
   /// test the Telemetry pointer first, then this.

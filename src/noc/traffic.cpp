@@ -37,8 +37,8 @@ std::optional<TrafficPattern> parse_traffic_pattern(std::string_view name) {
   return std::nullopt;
 }
 
-TrafficGenerator::TrafficGenerator(const MeshGeometry& geom,
-                                   const TrafficConfig& cfg, NodeId node)
+OpenLoopSource::OpenLoopSource(const MeshGeometry& geom,
+                               const TrafficConfig& cfg, NodeId node)
     : geom_(geom),
       cfg_(cfg),
       node_(node),
@@ -53,18 +53,18 @@ TrafficGenerator::TrafficGenerator(const MeshGeometry& geom,
   NOC_EXPECTS(cfg.offered_flits_per_node_cycle >= 0.0);
 }
 
-double TrafficGenerator::avg_flits_per_packet() const {
+double OpenLoopSource::avg_flits_per_packet() const {
   switch (cfg_.pattern) {
     case TrafficPattern::MixedPaper:
-      return cfg_.frac_broadcast_request * kRequestPacketLen +
-             cfg_.frac_unicast_request * kRequestPacketLen +
-             cfg_.frac_unicast_response * kResponsePacketLen;
+      return kMixedBroadcastFrac * kRequestPacketLen +
+             kMixedUnicastRequestFrac * kRequestPacketLen +
+             kMixedUnicastResponseFrac * kResponsePacketLen;
     default:
       return kRequestPacketLen;
   }
 }
 
-NodeId TrafficGenerator::pick_unicast_dest() {
+NodeId OpenLoopSource::pick_unicast_dest() {
   if (cfg_.identical_prbs) {
     // Keep every NIC's generator in lockstep: one draw per packet, shared
     // sequence. The chip's NICs map the PRBS destination field relative to
@@ -73,15 +73,6 @@ NodeId TrafficGenerator::pick_unicast_dest() {
     // but the injection *cycles* and packet *types* are identical
     // chip-wide, which is what contends away bypassing at low loads.
     const auto n = static_cast<NodeId>(geom_.num_nodes());
-    if (cfg_.synced_dest_bias) {
-      // Seed-faithful mapping: draws 0 and 1 both land on node+1 (2x
-      // weight, permutation broken). Reachable only via the config flag.
-      const auto draw =
-          static_cast<NodeId>(rng_.next_below(static_cast<uint64_t>(n)));
-      NodeId d = (node_ + draw) % n;
-      if (d == node_) d = (d + 1) % n;
-      return d;
-    }
     // Draw an offset in [1, n) so every non-self destination has equal
     // weight and a synchronized draw is a true permutation.
     const auto draw = static_cast<NodeId>(
@@ -96,9 +87,7 @@ NodeId TrafficGenerator::pick_unicast_dest() {
   return d;
 }
 
-uint64_t TrafficGenerator::next_payload() { return payload_prbs_.next_bits(64); }
-
-Cycle TrafficGenerator::next_fire_cycle(Cycle from) const {
+Cycle OpenLoopSource::next_fire_cycle(Cycle from) const {
   const double p_packet = std::min(1.0, rate_ / avg_flits_per_packet());
   if (p_packet <= 0.0) return kCycleNever;
   if (!cfg_.identical_prbs) return from;  // Bernoulli draws every cycle
@@ -116,7 +105,7 @@ Cycle TrafficGenerator::next_fire_cycle(Cycle from) const {
   return std::max(from, t);
 }
 
-std::optional<Packet> TrafficGenerator::generate(Cycle now) {
+std::optional<Packet> OpenLoopSource::generate(Cycle now) {
   NOC_EXPECTS(now > last_gen_cycle_);
   const Cycle skipped = now - last_gen_cycle_ - 1;
   last_gen_cycle_ = now;
@@ -162,24 +151,18 @@ std::optional<Packet> TrafficGenerator::generate(Cycle now) {
   pkt.mc = MsgClass::Request;
   pkt.length = kRequestPacketLen;
 
-  auto broadcast_mask = [&]() -> DestMask {
-    DestMask m = geom_.all_nodes_mask();
-    if (!cfg_.include_self_in_broadcast) m.clear(node_);
-    return m;
-  };
-
   switch (cfg_.pattern) {
     case TrafficPattern::UniformRequest:
       pkt.dest_mask = MeshGeometry::node_mask(pick_unicast_dest());
       break;
     case TrafficPattern::BroadcastOnly:
-      pkt.dest_mask = broadcast_mask();
+      pkt.dest_mask = geom_.all_nodes_mask();
       break;
     case TrafficPattern::MixedPaper: {
       const double u = rng_.next_double();
-      if (u < cfg_.frac_broadcast_request) {
-        pkt.dest_mask = broadcast_mask();
-      } else if (u < cfg_.frac_broadcast_request + cfg_.frac_unicast_request) {
+      if (u < kMixedBroadcastFrac) {
+        pkt.dest_mask = geom_.all_nodes_mask();
+      } else if (u < kMixedBroadcastFrac + kMixedUnicastRequestFrac) {
         pkt.dest_mask = MeshGeometry::node_mask(pick_unicast_dest());
       } else {
         pkt.dest_mask = MeshGeometry::node_mask(pick_unicast_dest());

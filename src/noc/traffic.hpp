@@ -7,7 +7,7 @@
 // docs/WORKLOADS.md for the full contract). Three families implement it:
 //
 //  - OpenLoopSource (this header): Bernoulli injection of the classic
-//    synthetic patterns below, wrapping TrafficGenerator unchanged.
+//    synthetic patterns below.
 //  - ClosedLoopSource (noc/workload.hpp): coherence-shaped miss/probe/
 //    response traffic with a bounded MSHR-style outstanding window.
 //  - TraceSource (noc/workload.hpp): replay of recorded (cycle, src,
@@ -65,27 +65,19 @@ inline uint32_t node_prbs_seed(uint64_t seed, NodeId node) {
          1u;
 }
 
+/// MixedPaper fractions (paper Fig 5): broadcast requests, unicast
+/// requests and unicast 5-flit responses, summing to 1.
+constexpr double kMixedBroadcastFrac = 0.50;
+constexpr double kMixedUnicastRequestFrac = 0.25;
+constexpr double kMixedUnicastResponseFrac = 0.25;
+
 struct TrafficConfig {
   TrafficPattern pattern = TrafficPattern::MixedPaper;
   /// Offered load in *logical* flits per node per cycle (a broadcast packet
   /// counts its flits once regardless of NIC duplication).
   double offered_flits_per_node_cycle = 0.1;
   bool identical_prbs = false;
-  /// Legacy synchronized-PRBS destination mapping: the seed code mapped
-  /// draws 0 and 1 both onto node+1, giving that destination 2x weight and
-  /// breaking the chip's permutation property. Off by default (the fixed
-  /// mapping draws from n-1 and skips self); kept reachable so old
-  /// fig-bench baselines can be reproduced (see CHANGES.md).
-  bool synced_dest_bias = false;
-  /// Broadcast destination sets include the source (Table 1's ejection load
-  /// is k^2 R, i.e. self-delivery included).
-  bool include_self_in_broadcast = true;
   uint64_t seed = 1;
-
-  /// MixedPaper fractions (must sum to 1).
-  double frac_broadcast_request = 0.50;
-  double frac_unicast_request = 0.25;
-  double frac_unicast_response = 0.25;
 };
 
 /// Abstract per-node traffic source: the NIC's only view of the workload.
@@ -194,44 +186,49 @@ class TrafficSource {
   WakeHook wake_;
 };
 
-/// Per-NIC generator. Deterministic given (config, node).
-class TrafficGenerator {
+/// Open-loop synthetic traffic: a Bernoulli process over the patterns
+/// above (broadcasts include the source, Table 1's k^2 R ejection load).
+/// Deterministic given (config, node).
+class OpenLoopSource final : public TrafficSource {
  public:
-  TrafficGenerator(const MeshGeometry& geom, const TrafficConfig& cfg,
-                   NodeId node);
+  OpenLoopSource(const MeshGeometry& geom, const TrafficConfig& cfg,
+                 NodeId node);
 
-  /// Possibly generate one logical packet this cycle (Bernoulli process).
-  /// Packet ids are made globally unique from (node, local counter).
-  /// `now` must be strictly increasing across calls; skipped cycles are
-  /// allowed only below next_fire_cycle() (their bookkeeping is replayed
-  /// bit-exactly, see the identical-PRBS accumulator).
-  std::optional<Packet> generate(Cycle now);
+  /// Possibly generate one logical packet this cycle. Packet ids are made
+  /// globally unique from (node, local counter). `now` must be strictly
+  /// increasing across calls; skipped cycles are allowed only below
+  /// next_fire_cycle() (their bookkeeping is replayed bit-exactly, see the
+  /// identical-PRBS accumulator).
+  std::optional<Packet> generate(Cycle now) override;
 
-  /// Gating hint (TrafficSource::next_fire_cycle semantics). Bernoulli
-  /// generators draw RNG every cycle, so with a positive rate they may fire
-  /// immediately; the identical-PRBS accumulator is deterministic and the
-  /// exact fire cycle is predicted by replaying its per-cycle additions.
-  Cycle next_fire_cycle(Cycle from) const;
+  /// 64-bit PRBS payload word for the next flit.
+  uint64_t next_payload() override { return payload_prbs_.next_bits(64); }
+
+  /// Bernoulli draws happen every cycle, so with a positive rate the source
+  /// may fire immediately; the identical-PRBS accumulator is deterministic
+  /// and the exact fire cycle is predicted by replaying its per-cycle
+  /// additions.
+  Cycle next_fire_cycle(Cycle from) const override;
 
   /// Average flits per logical packet for this pattern (converts offered
   /// flit rate to packet rate).
   double avg_flits_per_packet() const;
 
-  /// 64-bit PRBS payload word for the next flit.
-  uint64_t next_payload();
-
   const TrafficConfig& config() const { return cfg_; }
 
   /// Current injection rate (flits/node/cycle). Starts at the config's
   /// offered load; set_rate changes it without touching config(), so the
-  /// config always reports what the experiment asked for. The first change
-  /// since the last generate() stashes the outgoing rate: cycles a gated
-  /// NIC slept through were governed by it and replay at that rate, so the
-  /// new rate takes effect at exactly the cycle it would ungated.
+  /// config always reports what the experiment asked for.
   double rate() const { return rate_; }
-  void set_rate(double flits_per_node_cycle) {
+
+ protected:
+  /// The first change since the last generate() stashes the outgoing rate:
+  /// cycles a gated NIC slept through were governed by it and replay at
+  /// that rate, so the new rate takes effect at exactly the cycle it would
+  /// ungated.
+  void do_set_rate(double rate) override {
     if (replay_rate_ < 0.0) replay_rate_ = rate_;
-    rate_ = flits_per_node_cycle;
+    rate_ = rate;
   }
 
  private:
@@ -255,33 +252,6 @@ class TrafficGenerator {
   /// Rate in force before the first set_rate since the last generate()
   /// (the rate the slept-through cycles must replay at); < 0 = unchanged.
   double replay_rate_ = -1.0;
-};
-
-/// Open-loop synthetic traffic behind the TrafficSource interface: a thin
-/// adapter over TrafficGenerator, bit-identical to driving the generator
-/// directly.
-class OpenLoopSource final : public TrafficSource {
- public:
-  OpenLoopSource(const MeshGeometry& geom, const TrafficConfig& cfg,
-                 NodeId node)
-      : gen_(geom, cfg, node) {}
-
-  std::optional<Packet> generate(Cycle now) override {
-    return gen_.generate(now);
-  }
-  uint64_t next_payload() override { return gen_.next_payload(); }
-  Cycle next_fire_cycle(Cycle from) const override {
-    return gen_.next_fire_cycle(from);
-  }
-
-  TrafficGenerator& generator() { return gen_; }
-  const TrafficGenerator& generator() const { return gen_; }
-
- protected:
-  void do_set_rate(double rate) override { gen_.set_rate(rate); }
-
- private:
-  TrafficGenerator gen_;
 };
 
 }  // namespace noc

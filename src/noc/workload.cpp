@@ -121,12 +121,6 @@ std::string trace_geometry_error(const Trace& trace, int kx, int ky) {
          std::to_string(kx) + "x" + std::to_string(ky);
 }
 
-std::shared_ptr<const Trace> resolve_trace(const TraceConfig& cfg) {
-  if (cfg.trace != nullptr) return cfg.trace;
-  if (!cfg.path.empty()) return load_trace(cfg.path);
-  return nullptr;
-}
-
 // ---------------------------------------------------------------------------
 // ClosedLoopSource.
 
@@ -137,8 +131,6 @@ const char* ClosedLoopConfig::validate() const {
     return "closed-loop issue_prob must be in [0, 1]";
   if (directory_latency < 0) return "directory_latency must be >= 0";
   if (think_time < 0) return "think_time must be >= 0";
-  if (response_length < 1 || response_length > kMaxPacketFlits)
-    return "response_length must be in 1..8 (kMaxPacketFlits)";
   return nullptr;
 }
 
@@ -194,7 +186,7 @@ std::optional<Packet> ClosedLoopSource::generate(Cycle now) {
     pkt.src = node_;
     pkt.dest_mask = MeshGeometry::node_mask(resp.requester);
     pkt.mc = MsgClass::Response;
-    pkt.length = cfg_.response_length;
+    pkt.length = kResponsePacketLen;
     pkt.gen_cycle = now;
     pkt.tag = resp.tag;
     return pkt;
@@ -305,16 +297,14 @@ TrafficSource::WindowStats ClosedLoopSource::window_stats() const {
 
 TraceSource::TraceSource(const MeshGeometry& geom,
                          const TrafficConfig& traffic,
-                         std::shared_ptr<const Trace> trace, NodeId node)
+                         const Trace& trace, NodeId node)
     : node_(node),
-      payload_prbs_(Prbs::Poly::PRBS31, node_prbs_seed(traffic.seed, node)),
-      trace_(std::move(trace)) {
-  NOC_EXPECTS(trace_ != nullptr);
+      payload_prbs_(Prbs::Poly::PRBS31, node_prbs_seed(traffic.seed, node)) {
   // Geometry-stamped traces must match the mesh exactly; callers with a
   // message channel should pre-check trace_geometry_error themselves.
-  NOC_EXPECTS(trace_geometry_error(*trace_, geom.kx(), geom.ky()).empty());
+  NOC_EXPECTS(trace_geometry_error(trace, geom.kx(), geom.ky()).empty());
   const DestMask valid = geom.all_nodes_mask();
-  for (const TraceRecord& r : trace_->records) {
+  for (const TraceRecord& r : trace.records) {
     // Every record must fit this geometry -- a trace from a bigger mesh
     // must fail loudly, not replay partially.
     NOC_EXPECTS(r.src >= 0 && r.src < geom.num_nodes());
@@ -373,22 +363,17 @@ TrafficSource::WindowStats TraceSource::window_stats() const {
 
 std::unique_ptr<TrafficSource> make_traffic_source(
     const MeshGeometry& geom, const TrafficConfig& traffic,
-    const WorkloadSpec& spec, NodeId node,
-    std::shared_ptr<const Trace> resolved_trace) {
+    const WorkloadSpec& spec, NodeId node) {
   switch (spec.kind) {
     case WorkloadKind::OpenLoop:
       return std::make_unique<OpenLoopSource>(geom, traffic, node);
     case WorkloadKind::ClosedLoop:
       return std::make_unique<ClosedLoopSource>(geom, traffic, spec.closed,
                                                 node);
-    case WorkloadKind::Trace: {
-      std::shared_ptr<const Trace> trace =
-          resolved_trace != nullptr ? std::move(resolved_trace)
-                                    : resolve_trace(spec.trace);
-      NOC_EXPECTS(trace != nullptr);
-      return std::make_unique<TraceSource>(geom, traffic, std::move(trace),
+    case WorkloadKind::Trace:
+      NOC_EXPECTS(spec.trace.trace != nullptr);
+      return std::make_unique<TraceSource>(geom, traffic, *spec.trace.trace,
                                            node);
-    }
   }
   NOC_ASSERT(false);
   return nullptr;

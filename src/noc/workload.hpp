@@ -51,8 +51,6 @@ struct ClosedLoopConfig {
   Cycle directory_latency = 2;
   /// Cycles a node must wait after retiring a miss before issuing the next.
   Cycle think_time = 0;
-  /// Data response length in flits (paper: 5-flit cache-line responses).
-  int response_length = kResponsePacketLen;
 
   /// nullptr when every knob is in contract, else a printable description
   /// of the violated bound. CLI layers reject with the message;
@@ -99,10 +97,9 @@ std::shared_ptr<Trace> load_trace(const std::string& path,
 std::string trace_geometry_error(const Trace& trace, int kx, int ky);
 
 struct TraceConfig {
-  /// In-memory trace (preferred; shared read-only across sweep threads).
+  /// The replayed trace, shared read-only across sweep threads (load a
+  /// file with load_trace).
   std::shared_ptr<const Trace> trace;
-  /// Loaded once per Network when `trace` is null.
-  std::string path;
 };
 
 /// Which workload family a Network's sources come from, plus its knobs.
@@ -114,18 +111,12 @@ struct WorkloadSpec {
   TraceConfig trace;
 };
 
-/// Resolve a TraceConfig to its in-memory trace (loading `path` if needed).
-std::shared_ptr<const Trace> resolve_trace(const TraceConfig& cfg);
-
 /// Factory: build node `node`'s source for the given workload. Seeding
-/// derives from (traffic.seed, node) for every family. `resolved_trace`
-/// lets the caller load a trace file once for all nodes (required non-null
-/// for WorkloadKind::Trace when spec.trace.trace is null and path is
-/// empty).
+/// derives from (traffic.seed, node) for every family. WorkloadKind::Trace
+/// requires spec.trace.trace.
 std::unique_ptr<TrafficSource> make_traffic_source(
     const MeshGeometry& geom, const TrafficConfig& traffic,
-    const WorkloadSpec& spec, NodeId node,
-    std::shared_ptr<const Trace> resolved_trace = nullptr);
+    const WorkloadSpec& spec, NodeId node);
 
 /// Coherence-shaped closed loop (see file header). All cross-node
 /// coordination is a pure function of delivered flit fields: the owner of a
@@ -201,7 +192,7 @@ class ClosedLoopSource final : public TrafficSource {
 class TraceSource final : public TrafficSource {
  public:
   TraceSource(const MeshGeometry& geom, const TrafficConfig& traffic,
-              std::shared_ptr<const Trace> trace, NodeId node);
+              const Trace& trace, NodeId node);
 
   std::optional<Packet> generate(Cycle now) override;
   uint64_t next_payload() override { return payload_prbs_.next_bits(64); }
@@ -217,8 +208,7 @@ class TraceSource final : public TrafficSource {
  private:
   NodeId node_;
   Prbs payload_prbs_;
-  std::shared_ptr<const Trace> trace_;  // keeps the shared records alive
-  std::vector<TraceRecord> mine_;       // this node's records, time-ordered
+  std::vector<TraceRecord> mine_;  // this node's records, time-ordered
   size_t next_ = 0;
   uint64_t next_local_id_ = 0;
   bool in_window_ = false;

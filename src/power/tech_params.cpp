@@ -28,24 +28,4 @@ TechParams postlayout_tech45() {
   return t;
 }
 
-TechParams orion_tech45() {
-  // Paper Sec 4.4: ORION 2.0 over-estimates by 4.8-5.3x because its assumed
-  // transistor sizes are far larger than the chip's; relative accuracy
-  // between designs is preserved.
-  TechParams t = calibrated_tech45();
-  t.name = "ORION 2.0";
-  t.e_buffer_write_pj *= 5.2;
-  t.e_buffer_read_pj *= 5.2;
-  t.e_sa1_pj *= 5.6;
-  t.e_sa2_pj *= 5.6;
-  t.e_va_pj *= 5.6;
-  t.e_lookahead_pj *= 5.0;
-  t.e_hop_fullswing_pj *= 4.7;
-  t.e_hop_lowswing_pj *= 4.7;
-  t.p_clock_per_router_mw *= 5.1;
-  t.p_vc_state_per_router_mw *= 5.3;
-  t.p_leak_per_router_mw *= 4.9;
-  return t;
-}
-
 }  // namespace noc::power

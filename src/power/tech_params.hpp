@@ -2,8 +2,9 @@
 // Technology / calibration parameter sets for the power models.
 //
 // The simulator counts events; a TechParams set converts them to milliwatts
-// (pJ per event at 1 GHz == mW contribution). Three families reproduce the
-// paper's Fig 8 comparison:
+// (pJ per event at 1 GHz == mW contribution). Two sets feed the paper's
+// Fig 8 comparison (its ORION 2.0 column is the analytical model in
+// power/orion.hpp):
 //
 //  - calibrated_tech45(): fitted against the chip's measured numbers
 //    (Sec 4.1: 427.3 mW at 653 Gb/s broadcast; 76.7 mW leakage;
@@ -14,8 +15,6 @@
 //  - postlayout_tech45(): the same constants with the paper's reported
 //    post-layout biases (slightly under-estimates buffers and arbitration,
 //    over-estimates clocking and datapath; 6-13% total deviation).
-//  - orion_tech45(): ORION-2.0-like over-estimation (~5x, from assumed
-//    transistor sizes much larger than the chip's), relative accuracy kept.
 
 namespace noc::power {
 
@@ -53,6 +52,5 @@ struct TechParams {
 
 TechParams calibrated_tech45();
 TechParams postlayout_tech45();
-TechParams orion_tech45();
 
 }  // namespace noc::power

@@ -125,20 +125,10 @@ class Channel {
   }
 
   /// Messages arriving this tick, in send order (a borrowed view: valid
-  /// until the next begin_cycle / take_arrivals on this channel).
+  /// until the next begin_cycle on this channel).
   std::span<const T> arrivals() const {
     const auto& s = slots_[cur_];
     return {s.data(), s.size()};
-  }
-
-  /// Take all arrivals (consuming them so repeated reads are safe).
-  std::vector<T> take_arrivals() {
-    std::vector<T> out;
-    out.swap(slots_[cur_]);
-    stored_ -= static_cast<int>(out.size());
-    if (items_counter_ != nullptr)
-      *items_counter_ -= static_cast<int64_t>(out.size());
-    return out;
   }
 
   /// Total messages in the ring, including arrivals already exposed but not

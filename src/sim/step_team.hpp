@@ -1,11 +1,14 @@
 #pragma once
-// Persistent worker team for intra-network parallel stepping.
+// Persistent worker team: the one thread-team implementation, behind both
+// intra-network parallel stepping and parallel_for (sim/thread_pool.hpp).
 //
 // A Network that steps with `step_threads > 1` drives every cycle through
 // the same fixed set of threads; spawning per step (or per phase) would
 // dwarf the work of a cycle. StepTeam keeps N-1 helper threads parked on an
 // epoch counter and lets the caller act as worker 0, so `run()` is one
-// atomic bump plus (at most) one futex wake on each side.
+// atomic bump plus (at most) one futex wake on each side. parallel_for
+// builds a team per loop and calls run() once, every worker draining the
+// loop's shared index cursor.
 //
 // The callable is a raw function pointer + context, not std::function:
 // run() sits inside the steady-state step loop and must not allocate

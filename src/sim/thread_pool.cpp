@@ -1,65 +1,19 @@
 #include "sim/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <thread>
 
 #include "common/assert.hpp"
+#include "sim/step_team.hpp"
 
 namespace noc {
-
-ThreadPool::ThreadPool(int threads) {
-  NOC_EXPECTS(threads >= 1);
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
 
 int ThreadPool::hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ with a drained queue
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
 }
 
 void parallel_for(int threads, int n, const std::function<void(int)>& fn) {
@@ -93,10 +47,11 @@ void parallel_for(int threads, int n, const std::function<void(int)>& fn) {
   };
 
   {
-    ThreadPool pool(extra);
-    for (int w = 0; w < extra; ++w) pool.submit(drain);
-    drain();  // the caller is a worker as well
-    pool.wait_idle();
+    // Every worker drains, the caller as worker 0; run() returns once all
+    // have found the cursor exhausted.
+    StepTeam team(extra + 1);
+    team.run([](void* ctx, int) { (*static_cast<decltype(drain)*>(ctx))(); },
+             &drain);
   }
   thread_budget::release(extra);
   if (first_error) std::rethrow_exception(first_error);

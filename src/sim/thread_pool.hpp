@@ -1,63 +1,27 @@
 #pragma once
-// A small fixed-size worker pool for fanning independent simulations across
-// cores (the ExperimentRunner's engine).
+// Fanning independent simulations across cores (the ExperimentRunner's and
+// the campaign runner's engine), and the process-wide thread budget every
+// parallel layer leases its workers from.
 //
-// Design notes:
-//  - Jobs are opaque std::function<void()>; the pool makes no ordering
-//    promises between jobs, so callers that need deterministic output must
-//    write results into caller-owned slots keyed by task index (which is
-//    exactly what parallel_for does).
-//  - wait_idle() blocks until the queue is empty AND no worker is mid-job,
-//    so it is a full barrier.
-//  - parallel_for is the intended entry point: it self-schedules indices
-//    through an atomic cursor (good load balance for sweep points whose
-//    runtimes differ), falls back to a plain loop for <=1 thread or item,
-//    and rethrows the first exception any invocation threw.
+// parallel_for self-schedules indices through an atomic cursor (good load
+// balance for sweep points whose runtimes differ) on a StepTeam whose worker
+// 0 is the caller, falls back to a plain loop for <=1 thread or item, and
+// rethrows the first exception any invocation threw. It makes no ordering
+// promises between indices, so callers that need deterministic output write
+// results into caller-owned slots keyed by index.
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace noc {
 
 class ThreadPool {
  public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueue a job. Jobs must not throw (parallel_for wraps user callbacks
-  /// to capture exceptions before they reach the pool).
-  void submit(std::function<void()> job);
-
-  /// Block until all submitted jobs have finished.
-  void wait_idle();
-
   /// Number of hardware threads, at least 1.
   static int hardware_threads();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // signals workers: job or stop
-  std::condition_variable idle_cv_;  // signals wait_idle: all drained
-  int active_ = 0;
-  bool stop_ = false;
 };
 
 /// Run fn(0), ..., fn(n-1) across up to `threads` workers. Serial (and
-/// pool-free) when threads <= 1 or n <= 1. Blocks until every index has
+/// team-free) when threads <= 1 or n <= 1. Blocks until every index has
 /// run; rethrows the first exception thrown by any invocation.
 ///
 /// Worker threads beyond the caller are leased from thread_budget (below),

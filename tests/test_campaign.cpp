@@ -5,7 +5,9 @@
 // must not depend on thread count or on where a run was killed.
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -115,6 +117,66 @@ TEST(CampaignManifest, FileRoundTripPreservesHashes) {
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i].point->id, pb[i].point->id);
     EXPECT_EQ(pa[i].hash, pb[i].hash) << pa[i].point->id;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CampaignManifest, SmokeGridHashesAreByteStable) {
+  // Result stores key records by these hashes, so the canonical key must
+  // not move across builds. The smoke grid covers all four point kinds,
+  // the MixedPaper fractions and the closed-loop response length.
+  const std::pair<const char*, const char*> golden[] = {
+      {"measure/k=2", "b04f0f3cfe87a109"},
+      {"measure/k=4-mixed", "c7b1c053f2b8f831"},
+      {"saturation/k=2", "818664db64abb20d"},
+      {"capture/k=4", "b2a342066d13b70b"},
+      {"replay/baseline3", "b8027af5316e8973"},
+      {"replay/baseline4", "090614b48e60c59e"},
+  };
+  const Manifest m = smoke_manifest();
+  std::string err;
+  const auto points = resolve_manifest(m, &err);
+  ASSERT_EQ(points.size(), std::size(golden)) << err;
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].point->id, golden[i].first);
+    EXPECT_EQ(points[i].hash, golden[i].second) << points[i].key;
+  }
+}
+
+TEST(CampaignManifest, MalformedNumbersFailWithFileAndLine) {
+  // Numbers must be whole tokens that fit their field: a prefix parse
+  // would load "5o0" as 5 and "0.05x" as 0.05 and move the point hashes.
+  const std::string path = ::testing::TempDir() + "campaign_badnum.campaign";
+  auto load_with = [&](const std::string& campaign_line,
+                       const std::string& point_line) {
+    std::ofstream(path) << "# noc-campaign v1\n"
+                        << "campaign badnum\n"
+                        << campaign_line << "\n"
+                        << "point p\n"
+                        << "  kind measure\n"
+                        << point_line << "\n"
+                        << "end\n";
+    std::string err;
+    const auto m = load_manifest(path, &err);
+    return std::make_pair(m, err);
+  };
+  const auto [good, good_err] = load_with("window 500", "  offered 0.05");
+  ASSERT_NE(good, nullptr) << good_err;
+  EXPECT_EQ(good->default_window, 500);
+  EXPECT_EQ(good->points[0].offered, 0.05);
+
+  const std::pair<std::string, std::string> bad[] = {
+      {"window 5o0", "  offered 0.05"},      // line 3
+      {"window 500", "  offered 0.05x"},     // line 6
+      {"window 500", "  k 99999999999"},     // line 6: does not fit an int
+      {"window 500", "  seed -1"},           // line 6: unsigned field
+      {"window", "  offered 0.05"},          // line 3: no number at all
+  };
+  for (const auto& [campaign_line, point_line] : bad) {
+    const auto [m, err] = load_with(campaign_line, point_line);
+    EXPECT_EQ(m, nullptr) << campaign_line << " / " << point_line;
+    const char* line = campaign_line == "window 500" ? ":6: " : ":3: ";
+    EXPECT_EQ(err.rfind(path + line, 0), 0u) << err;
   }
   std::remove(path.c_str());
 }
@@ -293,4 +355,31 @@ TEST(CampaignGather, ReportCoversEveryPointOrNamesTheMissing) {
   EXPECT_NE(bytes.find("\"benchmarks\""), std::string::npos);
   for (const auto& p : m.points)
     EXPECT_NE(bytes.find(m.name + "/" + p.id), std::string::npos) << p.id;
+}
+
+TEST(CampaignGather, InvalidManifestFailsWithoutWritingOrRemoving) {
+  const Manifest m = smoke_manifest();
+  ResultStore store(fresh_root("invalid", m));
+  ASSERT_TRUE(run_campaign(m, store, {.threads = 1, .max_points = 1}).ok());
+  std::string err;
+  const auto points = resolve_manifest(m, &err);
+  ASSERT_FALSE(points.empty()) << err;
+  const std::string record = store.record_path(points[0].point->id,
+                                               points[0].hash);
+  ASSERT_FALSE(slurp(record).empty());
+
+  Manifest dup = m;
+  dup.points.push_back(dup.points[0]);  // duplicate point id
+  const std::string report = store.root() + "/invalid_report.json";
+  std::remove(report.c_str());
+  const GatherResult g = gather_campaign(dup, store, report);
+  EXPECT_FALSE(g.wrote);
+  EXPECT_EQ(g.complete, 0);
+  EXPECT_NE(g.error.find("duplicate id"), std::string::npos) << g.error;
+  EXPECT_FALSE(std::ifstream(report).good()) << "report written";
+
+  err.clear();
+  EXPECT_EQ(store.remove_campaign(dup, &err), -1);
+  EXPECT_NE(err.find("duplicate id"), std::string::npos) << err;
+  EXPECT_FALSE(slurp(record).empty()) << "record removed";
 }

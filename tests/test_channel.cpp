@@ -46,16 +46,6 @@ TEST(Channel, MultiCycleLatencyPreservesOrder) {
   EXPECT_EQ(ch.arrivals()[0], 3);
 }
 
-TEST(Channel, TakeArrivalsConsumes) {
-  Channel<int> ch(1);
-  ch.begin_cycle(0);
-  ch.send(0, 9);
-  ch.begin_cycle(1);
-  auto got = ch.take_arrivals();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_TRUE(ch.arrivals().empty());
-}
-
 TEST(Channel, IdleTracking) {
   Channel<int> ch(2);
   EXPECT_TRUE(ch.idle());

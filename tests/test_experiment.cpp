@@ -14,9 +14,6 @@ TEST(Experiment, DeliveriesPerOfferedFlit) {
   cfg.traffic.pattern = TrafficPattern::MixedPaper;
   // (0.5*16 + 0.25*1 + 0.25*5) / (0.5 + 0.25 + 0.25*5) = 9.5 / 2.
   EXPECT_DOUBLE_EQ(deliveries_per_offered_flit(cfg), 4.75);
-  cfg.traffic.include_self_in_broadcast = false;
-  cfg.traffic.pattern = TrafficPattern::BroadcastOnly;
-  EXPECT_DOUBLE_EQ(deliveries_per_offered_flit(cfg), 15.0);
 }
 
 TEST(Experiment, MeasurePointIsDeterministic) {

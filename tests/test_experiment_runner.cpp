@@ -1,4 +1,4 @@
-// The parallel sweep engine: thread pool semantics and the hard guarantee
+// The parallel sweep engine: parallel_for semantics and the hard guarantee
 // that ExperimentRunner output is bit-identical to the serial path.
 #include <gtest/gtest.h>
 
@@ -18,27 +18,6 @@
 namespace noc {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    for (int i = 0; i < 100; ++i)
-      pool.submit([&count] { count.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 100);
-  }
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&count] { count.fetch_add(1); });
-  }  // destructor joins after the queue drains
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ParallelFor, CoversAllIndicesOnce) {
   std::vector<std::atomic<int>> hits(257);
   parallel_for(8, 257, [&](int i) { hits[static_cast<size_t>(i)]++; });
@@ -47,7 +26,7 @@ TEST(ParallelFor, CoversAllIndicesOnce) {
 
 TEST(ParallelFor, SerialFallbackAndEmptyRange) {
   int calls = 0;
-  parallel_for(1, 5, [&](int) { ++calls; });  // no pool: plain loop
+  parallel_for(1, 5, [&](int) { ++calls; });  // no team: plain loop
   EXPECT_EQ(calls, 5);
   parallel_for(4, 0, [&](int) { FAIL() << "must not be called"; });
 }

@@ -382,7 +382,7 @@ TEST(GatingEquivalence, LargeK12ClosedLoop) {
 TEST(GatingEquivalence, MidRunRateChangeOverSleepingNics) {
   // Regression: set_rate while identical-PRBS NICs are parked between
   // fires. The slept-through cycles were governed by the OLD rate; the
-  // replay must use it (TrafficGenerator stashes it), or the accumulator
+  // replay must use it (OpenLoopSource stashes it), or the accumulator
   // phase -- and every subsequent fire -- diverges from the ungated walk.
   struct Totals {
     int64_t completed;

@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "common/table.hpp"
 
 namespace noc {
@@ -15,24 +11,6 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::fmt_int(42), "42");
   EXPECT_EQ(Table::fmt_percent(0.487), "48.7%");
   EXPECT_EQ(Table::fmt_percent(0.5, 0), "50%");
-}
-
-TEST(Table, CsvRoundTrip) {
-  Table t("test");
-  t.set_columns({"a", "b"});
-  t.add_row({"1", "x,y"});
-  t.add_separator();
-  t.add_row({"2", "he said \"hi\""});
-  const std::string path = "/tmp/noc_table_test.csv";
-  ASSERT_TRUE(t.write_csv(path));
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string csv = ss.str();
-  EXPECT_NE(csv.find("a,b\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);       // quoted comma
-  EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(Table, RowsShorterThanHeaderAreLegal) {
@@ -47,7 +25,6 @@ TEST(Table, PrintAlignsWithoutCrashing) {
   Table t("alignment");
   t.set_columns({"short", "a much longer header"});
   t.add_row({"the longest cell in this column", "x"});
-  t.add_separator();
   t.add_row({"y", "z"});
   t.print();
   SUCCEED();

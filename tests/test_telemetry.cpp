@@ -95,14 +95,15 @@ TEST(Telemetry, TimeSeriesRingStopsAtCapacity) {
   TelemetryConfig cfg;
   cfg.enabled = true;
   cfg.sample_every = 10;
-  cfg.max_samples = 4;
   Telemetry t(4, cfg);
   EXPECT_FALSE(t.want_sample(15));  // off-period
-  for (Cycle c = 0; c < 100; c += 10) {
+  const Cycle end = 10 * (kMaxTelemetrySamples + 8);
+  for (Cycle c = 0; c < end; c += 10) {
     if (t.want_sample(c)) t.push_sample(TimeSample{c, 0, 0, 0, 0, 0});
   }
-  EXPECT_EQ(t.samples().size(), 4u);  // ring full, sampling stopped
-  EXPECT_EQ(t.samples().back().cycle, 30);
+  // Ring full, sampling stopped.
+  EXPECT_EQ(t.samples().size(), static_cast<size_t>(kMaxTelemetrySamples));
+  EXPECT_EQ(t.samples().back().cycle, 10 * (kMaxTelemetrySamples - 1));
 }
 
 TEST(Telemetry, TraceSamplingAndDisable) {

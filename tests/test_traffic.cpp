@@ -19,7 +19,7 @@ TrafficConfig base_cfg(TrafficPattern p, double rate = 0.2) {
 
 TEST(Traffic, BernoulliRateIsRespected) {
   MeshGeometry g(4);
-  TrafficGenerator gen(g, base_cfg(TrafficPattern::UniformRequest, 0.25), 3);
+  OpenLoopSource gen(g, base_cfg(TrafficPattern::UniformRequest, 0.25), 3);
   int packets = 0;
   const int cycles = 40000;
   for (Cycle t = 0; t < cycles; ++t)
@@ -29,7 +29,7 @@ TEST(Traffic, BernoulliRateIsRespected) {
 
 TEST(Traffic, MixedPaperComposition) {
   MeshGeometry g(4);
-  TrafficGenerator gen(g, base_cfg(TrafficPattern::MixedPaper, 0.4), 5);
+  OpenLoopSource gen(g, base_cfg(TrafficPattern::MixedPaper, 0.4), 5);
   int bcast = 0, ureq = 0, uresp = 0, total = 0;
   for (Cycle t = 0; t < 60000; ++t) {
     auto p = gen.generate(t);
@@ -57,7 +57,7 @@ TEST(Traffic, MixedPaperComposition) {
 
 TEST(Traffic, BroadcastMaskIncludesSelfByDefault) {
   MeshGeometry g(4);
-  TrafficGenerator gen(g, base_cfg(TrafficPattern::BroadcastOnly, 0.5), 6);
+  OpenLoopSource gen(g, base_cfg(TrafficPattern::BroadcastOnly, 0.5), 6);
   for (Cycle t = 0; t < 100; ++t) {
     if (auto p = gen.generate(t)) {
       EXPECT_EQ(p->dest_mask, g.all_nodes_mask());
@@ -66,22 +66,9 @@ TEST(Traffic, BroadcastMaskIncludesSelfByDefault) {
   }
 }
 
-TEST(Traffic, BroadcastMaskWithoutSelf) {
-  MeshGeometry g(4);
-  auto cfg = base_cfg(TrafficPattern::BroadcastOnly, 0.5);
-  cfg.include_self_in_broadcast = false;
-  TrafficGenerator gen(g, cfg, 6);
-  for (Cycle t = 0; t < 100; ++t) {
-    if (auto p = gen.generate(t)) {
-      EXPECT_EQ(p->dest_mask.count(), 15);
-      EXPECT_TRUE((p->dest_mask & MeshGeometry::node_mask(6)).none());
-    }
-  }
-}
-
 TEST(Traffic, UnicastNeverTargetsSelfAndIsRoughlyUniform) {
   MeshGeometry g(4);
-  TrafficGenerator gen(g, base_cfg(TrafficPattern::UniformRequest, 0.9), 9);
+  OpenLoopSource gen(g, base_cfg(TrafficPattern::UniformRequest, 0.9), 9);
   std::map<NodeId, int> dests;
   int total = 0;
   for (Cycle t = 0; t < 30000; ++t) {
@@ -101,7 +88,7 @@ TEST(Traffic, IdenticalPrbsSynchronizesInjections) {
   MeshGeometry g(4);
   auto cfg = base_cfg(TrafficPattern::MixedPaper, 0.1);
   cfg.identical_prbs = true;
-  TrafficGenerator a(g, cfg, 0), b(g, cfg, 11);
+  OpenLoopSource a(g, cfg, 0), b(g, cfg, 11);
   for (Cycle t = 0; t < 5000; ++t) {
     auto pa = a.generate(t), pb = b.generate(t);
     EXPECT_EQ(pa.has_value(), pb.has_value()) << "cycle " << t;
@@ -117,7 +104,7 @@ TEST(Traffic, IdenticalPrbsSynchronizesInjections) {
 TEST(Traffic, IndependentSeedsDesynchronize) {
   MeshGeometry g(4);
   auto cfg = base_cfg(TrafficPattern::UniformRequest, 0.1);
-  TrafficGenerator a(g, cfg, 0), b(g, cfg, 11);
+  OpenLoopSource a(g, cfg, 0), b(g, cfg, 11);
   int same = 0, events = 0;
   for (Cycle t = 0; t < 20000; ++t) {
     const bool ia = a.generate(t).has_value();
@@ -133,7 +120,7 @@ TEST(Traffic, PermutationPatterns) {
   MeshGeometry g(4);
   for (auto pat : {TrafficPattern::Transpose, TrafficPattern::BitComplement,
                    TrafficPattern::Tornado, TrafficPattern::NearestNeighbor}) {
-    TrafficGenerator gen(g, base_cfg(pat, 0.9), 6);
+    OpenLoopSource gen(g, base_cfg(pat, 0.9), 6);
     for (Cycle t = 0; t < 200; ++t) {
       if (auto p = gen.generate(t)) {
         EXPECT_EQ(p->dest_mask.count(), 1);
@@ -147,7 +134,7 @@ TEST(Traffic, PermutationPatterns) {
 TEST(Traffic, TransposeDiagonalStaysSilent) {
   MeshGeometry g(4);
   // Node (1,1) = id 5 is on the diagonal: transpose maps it to itself.
-  TrafficGenerator gen(g, base_cfg(TrafficPattern::Transpose, 0.9), 5);
+  OpenLoopSource gen(g, base_cfg(TrafficPattern::Transpose, 0.9), 5);
   for (Cycle t = 0; t < 500; ++t) EXPECT_FALSE(gen.generate(t).has_value());
 }
 
@@ -156,7 +143,7 @@ TEST(Traffic, TransposeDiagonalStaysSilent) {
 std::map<NodeId, int> dest_histogram(TrafficConfig cfg, NodeId node,
                                      int cycles, int* total_out) {
   MeshGeometry g(4);
-  TrafficGenerator gen(g, cfg, node);
+  OpenLoopSource gen(g, cfg, node);
   std::map<NodeId, int> dests;
   int total = 0;
   for (Cycle t = 0; t < cycles; ++t) {
@@ -186,24 +173,6 @@ TEST(Traffic, SyncedPrbsDestinationsAreUnbiased) {
         << "destination " << d << " over/under-weighted";
 }
 
-TEST(Traffic, SyncedPrbsLegacyBiasReachableBehindFlag) {
-  // The seed-faithful mapping stays available for baseline comparisons and
-  // must exhibit exactly the documented artifact: node+1 at ~2x weight.
-  auto cfg = base_cfg(TrafficPattern::UniformRequest, 0.9);
-  cfg.identical_prbs = true;
-  cfg.synced_dest_bias = true;
-  int total = 0;
-  const NodeId node = 9;
-  const auto dests = dest_histogram(cfg, node, 30000, &total);
-  ASSERT_GT(total, 20000);
-  const double hot = dests.at((node + 1) % 16) / static_cast<double>(total);
-  EXPECT_NEAR(hot, 2.0 / 16.0, 0.02);
-  for (const auto& [d, c] : dests) {
-    if (d == (node + 1) % 16) continue;
-    EXPECT_NEAR(c / static_cast<double>(total), 1.0 / 16.0, 0.02);
-  }
-}
-
 TEST(Traffic, SyncedPrbsDrawsFormAPermutation) {
   // All 16 generators share one PRBS stream; at every synchronized fire the
   // relative mapping must scatter them onto 16 DISTINCT destinations (the
@@ -211,7 +180,7 @@ TEST(Traffic, SyncedPrbsDrawsFormAPermutation) {
   MeshGeometry g(4);
   auto cfg = base_cfg(TrafficPattern::UniformRequest, 0.9);
   cfg.identical_prbs = true;
-  std::vector<TrafficGenerator> gens;
+  std::vector<OpenLoopSource> gens;
   for (NodeId n = 0; n < 16; ++n) gens.emplace_back(g, cfg, n);
   int fires = 0;
   for (Cycle t = 0; t < 2000; ++t) {
@@ -249,7 +218,7 @@ TEST(Traffic, NearestNeighborReflectsAtTheEastEdge) {
   // every node emits genuine 1-hop traffic.
   MeshGeometry g(4);
   for (NodeId n = 0; n < 16; ++n) {
-    TrafficGenerator gen(g, base_cfg(TrafficPattern::NearestNeighbor, 0.9), n);
+    OpenLoopSource gen(g, base_cfg(TrafficPattern::NearestNeighbor, 0.9), n);
     for (Cycle t = 0; t < 100; ++t) {
       if (auto p = gen.generate(t)) {
         const NodeId d = g.nodes_in(p->dest_mask).front();
@@ -268,7 +237,7 @@ TEST(Traffic, GeneratorToleratesSkippedCyclesBelowNextFire) {
   MeshGeometry g(4);
   auto cfg = base_cfg(TrafficPattern::MixedPaper, 0.05);
   cfg.identical_prbs = true;
-  TrafficGenerator dense(g, cfg, 3), sparse(g, cfg, 3);
+  OpenLoopSource dense(g, cfg, 3), sparse(g, cfg, 3);
   Cycle next = 0;
   for (Cycle t = 0; t < 20000; ++t) {
     auto pd = dense.generate(t);
@@ -289,7 +258,7 @@ TEST(Traffic, GeneratorToleratesSkippedCyclesBelowNextFire) {
 
 TEST(Traffic, PacketIdsAreUniquePerNodeAndMonotone) {
   MeshGeometry g(4);
-  TrafficGenerator gen(g, base_cfg(TrafficPattern::UniformRequest, 0.9), 2);
+  OpenLoopSource gen(g, base_cfg(TrafficPattern::UniformRequest, 0.9), 2);
   PacketId last = 0;
   for (Cycle t = 0; t < 1000; ++t) {
     if (auto p = gen.generate(t)) {

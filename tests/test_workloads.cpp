@@ -89,10 +89,10 @@ TEST(OpenLoopSource, SetRateLeavesConfigTruthful) {
   Network net(cfg);
   auto& src = dynamic_cast<OpenLoopSource&>(net.source(0));
   net.source(0).set_rate(0.0);
-  EXPECT_EQ(src.generator().rate(), 0.0);
-  EXPECT_EQ(src.generator().config().offered_flits_per_node_cycle, 0.10);
+  EXPECT_EQ(src.rate(), 0.0);
+  EXPECT_EQ(src.config().offered_flits_per_node_cycle, 0.10);
   // And rate 0 really stops injection.
-  TrafficGenerator gen(net.geom(), cfg.traffic, 0);
+  OpenLoopSource gen(net.geom(), cfg.traffic, 0);
   gen.set_rate(0.0);
   for (Cycle t = 0; t < 2000; ++t) EXPECT_FALSE(gen.generate(t).has_value());
 }

@@ -18,12 +18,10 @@
 // --max-points N bounds one invocation (the CI smoke job's deterministic
 // "kill"). `gather` merges the records into one google-benchmark-schema
 // report for tools/check_perf_regression.py-style consumers.
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 
@@ -188,6 +186,10 @@ int cmd_gather(const Manifest& m, const ResultStore& store,
       args.get_str("out", store.root() + "/campaign_report.json");
   if (!args.check_unused()) return 1;
   const GatherResult g = gather_campaign(m, store, out);
+  if (!g.error.empty()) {
+    std::fprintf(stderr, "%s\n", g.error.c_str());
+    return 1;
+  }
   for (const std::string& id : g.missing)
     std::fprintf(stderr, "missing record: %s\n", id.c_str());
   if (!g.wrote) {
@@ -202,19 +204,15 @@ int cmd_gather(const Manifest& m, const ResultStore& store,
 int cmd_clean(const Manifest& m, const ResultStore& store,
               const CliArgs& args) {
   if (!args.check_unused()) return 1;
-  const int removed = store.remove_campaign(m);
+  std::string err;
+  const int removed = store.remove_campaign(m, &err);
+  if (removed < 0) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return 1;
+  }
   std::printf("removed %d file(s) for campaign '%s' under %s\n", removed,
               m.name.c_str(), store.root().c_str());
   return 0;
-}
-
-bool mkdir_p(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) return true;
-  if (errno != ENOENT) return false;
-  const size_t slash = dir.find_last_of('/');
-  if (slash == std::string::npos || slash == 0) return false;
-  if (!mkdir_p(dir.substr(0, slash))) return false;
-  return ::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST;
 }
 
 bool write_links_csv(const std::string& path, const Network& net) {
@@ -305,7 +303,9 @@ int cmd_telemetry(const CliArgs& args) {
                 static_cast<long long>(r.p99), static_cast<long long>(r.min),
                 static_cast<long long>(r.max));
 
-  if (!mkdir_p(dir)) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
     std::fprintf(stderr, "cannot create %s\n", dir.c_str());
     return 1;
   }
