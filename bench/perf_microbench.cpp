@@ -7,6 +7,8 @@
 // trajectory can be tracked across PRs. Each scenario reports:
 //   items_per_second  -- node-cycles simulated per second
 //   cycles_per_sec    -- Network::step calls per second (1e9 / ns-per-step)
+//   s_per_flit_hop    -- time per router or NIC link traversal (the
+//                        per-hop cost docs/PERF.md tabulates per radix)
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,15 +31,20 @@ void run_cycles(benchmark::State& state, NetworkConfig cfg, double offered) {
   Network net(cfg);
   Simulation sim(net);
   sim.run(500);  // warm the pipelines
+  const EnergyCounters before = net.energy();
   for (auto _ : state) {
     sim.run(kCyclesPerIter);
     benchmark::DoNotOptimize(net.metrics().total_completed());
   }
+  const EnergyCounters work = net.energy().delta_since(before);
   state.SetItemsProcessed(state.iterations() * kCyclesPerIter *
                           net.geom().num_nodes());
   state.counters["cycles_per_sec"] =
       benchmark::Counter(kCyclesPerIter,
                          benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["s_per_flit_hop"] = benchmark::Counter(
+      static_cast<double>(work.link_traversals + work.nic_link_traversals),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.counters["completed"] =
       static_cast<double>(net.metrics().total_completed());
 }
@@ -104,8 +111,8 @@ BENCHMARK(BM_Proposed8x8Uniform)->Unit(benchmark::kMicrosecond);
 
 /// Policy-dispatch overhead guard: the same scenario as
 /// BM_Proposed8x8Uniform routed O1TURN, so the routing-policy subsystem's
-/// hot-path additions (route-class checks, lane-aware VC allocation with
-/// stamped per-lane free queues) are gated against the 10% regression
+/// hot-path additions (route-class checks, lane-aware VC allocation from
+/// the per-class free lists) are gated against the 10% regression
 /// threshold alongside the XY rows.
 void BM_Proposed8x8O1TURN(benchmark::State& state) {
   NetworkConfig cfg = NetworkConfig::proposed(8);
@@ -174,6 +181,23 @@ void BM_Proposed12x12Uniform(benchmark::State& state) {
   run_cycles(state, cfg, 0.10);
 }
 BENCHMARK(BM_Proposed12x12Uniform)->Unit(benchmark::kMicrosecond);
+
+/// Per-hop cost against radix (docs/PERF.md "Per-hop state"): uniform load
+/// at half the XY bisection limit of 4/k flits/node/cycle, so every k runs
+/// at the same relative load and s_per_flit_hop compares across k.
+/// Arg = k.
+void BM_ProposedUniformPerK(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  NetworkConfig cfg = NetworkConfig::proposed(k);
+  cfg.traffic.pattern = TrafficPattern::UniformRequest;
+  run_cycles(state, cfg, 2.0 / k);
+}
+BENCHMARK(BM_ProposedUniformPerK)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Degraded-mesh rows (docs/FAULTS.md): uniform 8x8 with Arg dead links
 /// from the seeded planner, killed at cycle 0. Fault-mode adaptive routes

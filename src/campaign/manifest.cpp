@@ -1,13 +1,12 @@
 #include "campaign/manifest.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <type_traits>
+
+#include "common/parse.hpp"
 
 namespace noc::campaign {
 
@@ -421,17 +420,6 @@ bool parse_on_off(const std::string& v, bool* out) {
   if (v == "on" || v == "true" || v == "1") return *out = true, true;
   if (v == "off" || v == "false" || v == "0") return *out = false, true;
   return false;
-}
-
-// The whole token must be one number that fits the field: "5o0", "0.05x",
-// "" and out-of-range values fail instead of loading a prefix.
-template <typename T>
-bool parse_number(const std::string& v, T* out) {
-  const char* end = v.data() + v.size();
-  const auto [p, ec] = std::from_chars(v.data(), end, *out);
-  if (ec != std::errc() || p != end) return false;
-  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
-  return true;
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 //
 // Elements must be default-constructible; clear() only resets the size (it
 // does not destroy elements), which is fine for the trivially-destructible
-// value types used on the hot path.
+// value types used on the hot path. Copies move only the live elements, so
+// copying a mostly-empty list costs its size, not its capacity.
 
+#include <algorithm>
 #include <array>
 
 #include "common/assert.hpp"
@@ -24,6 +26,16 @@ class InlineVec {
   InlineVec() = default;
   /// n value-initialized elements (mirrors std::vector<T> v(n)).
   explicit InlineVec(int n) { resize(n); }
+  InlineVec(const InlineVec& o) : size_(o.size_) {
+    std::copy(o.begin(), o.end(), items_.begin());
+  }
+  InlineVec& operator=(const InlineVec& o) {
+    if (this != &o) {
+      size_ = o.size_;
+      std::copy(o.begin(), o.end(), items_.begin());
+    }
+    return *this;
+  }
 
   static constexpr int capacity() { return N; }
   int size() const { return size_; }
@@ -47,6 +59,13 @@ class InlineVec {
     --size_;
   }
 
+  /// Remove element i, shifting the later ones down (order is kept).
+  void erase(int i) {
+    NOC_EXPECTS(i >= 0 && i < size_);
+    std::copy(begin() + i + 1, end(), begin() + i);
+    --size_;
+  }
+
   T& operator[](int i) {
     NOC_EXPECTS(i >= 0 && i < size_);
     return items_[static_cast<size_t>(i)];
@@ -67,8 +86,10 @@ class InlineVec {
   const T* end() const { return items_.data() + size_; }
 
  private:
-  std::array<T, N> items_{};
+  // The size before the storage: a short list's size and its live elements
+  // share the first cache line.
   int size_ = 0;
+  std::array<T, N> items_{};
 };
 
 }  // namespace noc

@@ -67,9 +67,11 @@ class RingBuffer {
  private:
   int index(int i) const { return (head_ + i) % N; }
 
-  std::array<T, N> slots_{};
+  // Counters before the storage: an empty()/size() check reads the
+  // object's first bytes, not a line past the slots.
   int head_ = 0;
   int count_ = 0;
+  std::array<T, N> slots_{};
 };
 
 }  // namespace noc

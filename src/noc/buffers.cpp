@@ -11,7 +11,6 @@ void InputVc::open_packet(const Flit& head, const BranchList& branches) {
   busy_ = true;
   branches_ = branches;
   front_seq_ = 0;
-  accepted_flits = 0;
   packet_len = head.packet_len;
   rc_ = head.rc;
   logical_ = head.logical_id;
@@ -22,7 +21,6 @@ void InputVc::close_packet() {
   NOC_EXPECTS(fifo_.empty());
   busy_ = false;
   branches_.clear();
-  accepted_flits = 0;
   packet_len = 0;
   front_seq_ = 0;
   rc_ = RouteClass::XY;
@@ -72,9 +70,7 @@ void DownstreamState::configure(const VcConfig& cfg) {
     NOC_EXPECTS(cfg.depth_per_mc[m] <= kMaxVcDepth);
   cfg_ = cfg;
   credits_.fill(0);
-  for (auto& per_mc : free_vcs_)
-    for (auto& q : per_mc) q.clear();
-  next_stamp_ = 0;
+  for (auto& order : free_order_) order.clear();
   free_ = VcMask{};
   credit_ = VcMask{};
   for (int m = 0; m < kNumMsgClasses; ++m) {
@@ -84,15 +80,15 @@ void DownstreamState::configure(const VcConfig& cfg) {
       lane_credit_sum_[m][l] = 0;
     }
   }
-  // Ascending VC id with ascending stamps: the lane-Any merge order starts
-  // out as plain id order, exactly the pre-lane single queue.
+  // Ascending VC id: the release order starts out as plain id order,
+  // exactly the pre-lane single queue.
   for (int vc = 0; vc < cfg.total_vcs(); ++vc) {
     const int m = static_cast<int>(cfg.mc_of_vc(vc));
     const int l = static_cast<int>(cfg.lane_of_vc(vc));
     mc_of_[vc] = static_cast<int8_t>(m);
     lane_of_[vc] = static_cast<int8_t>(l);
     credits_[static_cast<size_t>(vc)] = cfg.depth_of_vc(vc);
-    free_vcs_[m][l].push_back({static_cast<int8_t>(vc), next_stamp_++});
+    free_order_[m].push_back(static_cast<int8_t>(vc));
     free_.set(vc);
     credit_.set(vc);
     member_[m][l].set(vc);
@@ -102,28 +98,22 @@ void DownstreamState::configure(const VcConfig& cfg) {
 }
 
 int DownstreamState::allocate_vc(MsgClass mc, VcLane lane) {
-  const int m = static_cast<int>(mc);
-  auto* q = &free_vcs_[m][0];
-  if (lane == VcLane::Any) {
-    // Merge the two lane FIFOs by release stamp: the pop order is the one
-    // global least-recently-freed FIFO, regardless of the lane split.
-    auto& q1 = free_vcs_[m][1];
-    if (!q1.empty() && (q->empty() || q1.front().stamp < q->front().stamp))
-      q = &q1;
-  } else {
-    q = &free_vcs_[m][static_cast<int>(lane)];
+  auto& order = free_order_[static_cast<int>(mc)];
+  for (int i = 0; i < order.size(); ++i) {
+    const int vc = order[i];
+    if (lane != VcLane::Any && lane_of_[vc] != static_cast<int>(lane))
+      continue;
+    order.erase(i);
+    free_.clear(vc);
+    return vc;
   }
-  if (q->empty()) return -1;
-  const int vc = q->pop_front().vc;
-  free_.clear(vc);
-  return vc;
+  return -1;
 }
 
 void DownstreamState::release_vc(int vc) {
   NOC_EXPECTS(vc >= 0 && vc < cfg_.total_vcs());
   NOC_ASSERT(!free_.test(vc));
-  free_vcs_[mc_of_[vc]][lane_of_[vc]].push_back(
-      {static_cast<int8_t>(vc), next_stamp_++});
+  free_order_[mc_of_[vc]].push_back(static_cast<int8_t>(vc));
   free_.set(vc);
 }
 

@@ -15,12 +15,14 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/bit_mask.hpp"
 #include "common/inline_vec.hpp"
 #include "common/ring_buffer.hpp"
 #include "noc/flit.hpp"
+#include "noc/packet.hpp"
 #include "noc/routing.hpp"
 
 namespace noc {
@@ -35,6 +37,8 @@ constexpr int kMaxTotalVcs = 16;
 /// word 0 directly.
 using VcMask = BitMask<kMaxTotalVcs>;
 static_assert(kMaxTotalVcs <= 32, "arbiters consume VcMask as one word");
+static_assert(kMaxTotalVcs - 1 <= std::numeric_limits<decltype(Flit::vc)>::max(),
+              "Flit::vc must hold every VC id");
 
 /// One bit per (input port, VC id) pair of a whole router, laid out
 /// structure-of-arrays: bit p * kMaxTotalVcs + v. The router's busy-VC set
@@ -99,10 +103,10 @@ struct VcConfig {
 /// the output port it forks to, the destination partition, the downstream
 /// VC allocated by VA, and per-branch send progress.
 struct Branch {
-  PortDir out = PortDir::Local;
   DestMask dests;
-  int ds_vc = -1;        // downstream VC (VA result); -1 = not yet allocated
-  int next_seq = 0;      // next flit sequence number to send on this branch
+  PortDir out = PortDir::Local;
+  int8_t ds_vc = -1;     // downstream VC (VA result); -1 = not yet allocated
+  int8_t next_seq = 0;   // next flit sequence number to send on this branch
   bool tail_sent = false;
   /// Fault-mode drop branch (docs/FAULTS.md): `dests` cannot be reached on
   /// the surviving topology. The branch never allocates a VC or requests
@@ -114,6 +118,12 @@ struct Branch {
 
   bool needs_vc() const { return ds_vc < 0 && !drop; }
 };
+static_assert(kMaxTotalVcs - 1 <=
+                      std::numeric_limits<decltype(Branch::ds_vc)>::max() &&
+                  kMaxPacketFlits <=
+                      std::numeric_limits<decltype(Branch::next_seq)>::max(),
+              "Branch::ds_vc/next_seq must hold every VC id and packet length");
+static_assert(sizeof(Branch) == 40, "mask first, narrow fields packed after");
 
 /// A packet forks to at most one live branch per output port, plus at most
 /// one fault-mode drop branch for unreachable destinations.
@@ -131,7 +141,6 @@ class InputVc {
 
   bool busy() const { return busy_; }
   bool empty() const { return fifo_.empty(); }
-  int depth() const { return depth_; }
 
   /// Allocate this VC to a packet and install its branches. The head's
   /// route class is latched for the packet's lifetime (VA consults it).
@@ -170,19 +179,21 @@ class InputVc {
   /// True when all branches have sent the tail.
   bool all_branches_done() const;
 
-  /// Total flits of the active packet that have been accepted (bypassed or
-  /// buffered); used to detect when a body flit may bypass in order.
-  int accepted_flits = 0;
+  /// Flits in the packet holding this VC (latched from the head).
   int packet_len = 0;
 
  private:
-  RingBuffer<Flit, kMaxVcDepth> fifo_;
-  BranchList branches_;
+  // Packet state and branch list before the FIFO: the per-cycle scans
+  // (current_seq, serviceable_seq, the mSA-I walk) read these leading lines
+  // and the FIFO's counters; the flit slots are touched only on buffer
+  // write and read.
+  PacketId logical_ = 0;
   int depth_ = 1;
   int front_seq_ = 0;
   bool busy_ = false;
   RouteClass rc_ = RouteClass::XY;
-  PacketId logical_ = 0;
+  BranchList branches_;
+  RingBuffer<Flit, kMaxVcDepth> fifo_;
 };
 
 /// Upstream-side view of one downstream input port: per-VC credit counters
@@ -192,11 +203,10 @@ class DownstreamState {
  public:
   void configure(const VcConfig& cfg);
 
-  /// VA: take a free downstream VC of class `mc` in `lane`, or -1. Lane
-  /// Any spans both lanes and pops the least-recently-freed VC overall --
-  /// release stamps make the two lane FIFOs merge into exactly the single
-  /// global FIFO the pre-lane router allocated from, so unrestricted
-  /// policies keep their bit-identical allocation order.
+  /// VA: take the least-recently-freed downstream VC of class `mc` in
+  /// `lane`, or -1. Lane Any takes the class's least-recently-freed VC
+  /// overall -- exactly the single FIFO the pre-lane router allocated from,
+  /// so unrestricted policies keep their bit-identical allocation order.
   int allocate_vc(MsgClass mc, VcLane lane = VcLane::Any);
   /// A vc_free credit arrived: the downstream VC finished its packet.
   void release_vc(int vc);
@@ -233,16 +243,7 @@ class DownstreamState {
   VcMask free_mask() const { return free_; }
   VcMask credit_mask() const { return credit_; }
 
-  const VcConfig& config() const { return cfg_; }
-
  private:
-  /// Free-queue entry: the VC id plus its release stamp (the merge key for
-  /// lane-Any allocation).
-  struct FreeVc {
-    int8_t vc = 0;
-    uint64_t stamp = 0;
-  };
-
   /// Word-0 view of the (mc, lane) membership mask; lane Any spans both
   /// lanes of the class.
   uint64_t member_word(MsgClass mc, VcLane lane) const {
@@ -251,28 +252,28 @@ class DownstreamState {
     return member_[m][static_cast<int>(lane)].word(0);
   }
 
-  VcConfig cfg_;
-  std::array<int, kMaxTotalVcs> credits_{};
-  /// Per-(message class, lane) FIFO free-VC queues: the masks answer the
-  /// availability predicates, but allocation ORDER comes from these rings
-  /// (least-recently-freed; lane-Any merges the two rings by stamp), which
-  /// is what keeps VC allocation bit-identical across gating/threading
-  /// modes.
-  RingBuffer<FreeVc, kMaxTotalVcs> free_vcs_[kNumMsgClasses][kNumVcLanes];
-  uint64_t next_stamp_ = 0;
-  /// SoA availability state (docs/PERF.md Layer 5): bit v of free_ <=> VC v
-  /// is in some free ring; bit v of credit_ <=> credits_[v] > 0;
-  /// member_/class_member_ are the static lane/class partitions; the lane
-  /// credit sums mirror sum(credits_ over lane members).
+  /// SoA availability state (docs/PERF.md Layer 5), the first 64 bytes:
+  /// bit v of free_ <=> VC v is in its class's free list; bit v of credit_
+  /// <=> credits_[v] > 0; member_/class_member_ are the static lane/class
+  /// partitions.
   VcMask free_;
   VcMask credit_;
   VcMask member_[kNumMsgClasses][kNumVcLanes];
   VcMask class_member_[kNumMsgClasses];
+  std::array<int, kMaxTotalVcs> credits_{};
+  /// Mirrors sum(credits_ over lane members).
   int lane_credit_sum_[kNumMsgClasses][kNumVcLanes] = {};
   /// mc/lane of each VC id, precomputed at configure() (consume/return use
   /// them every credit event).
   int8_t mc_of_[kMaxTotalVcs] = {};
   int8_t lane_of_[kMaxTotalVcs] = {};
+  /// Free VC ids of each message class in release order, least recently
+  /// freed first. The masks answer the availability predicates, but
+  /// allocation ORDER comes from these lists (a lane allocation takes the
+  /// first entry of its lane), which is what keeps VC allocation
+  /// bit-identical across gating/threading modes.
+  InlineVec<int8_t, kMaxTotalVcs> free_order_[kNumMsgClasses];
+  VcConfig cfg_;
 };
 
 }  // namespace noc

@@ -7,7 +7,7 @@ namespace noc {
 namespace {
 
 /// splitmix64: the fixed-width seeded stream every deterministic schedule
-/// in the repo draws from (same family as the PRBS payload generators).
+/// in the repo draws from.
 uint64_t splitmix64(uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
   uint64_t z = state;

@@ -4,9 +4,14 @@
 // Flits are 64-bit on the chip; here the struct additionally carries the
 // bookkeeping the hardware encodes in head-flit fields and side-band wires:
 // the destination mask (multicast), message class, sequence number within
-// the packet, and timestamps for the latency statistics.
+// the packet, and the generation timestamp for the latency statistics.
+//
+// A Flit is copied at every buffer write, switch traversal, channel send and
+// lookahead, so it is kept to exactly one 64-byte cache line: only fields
+// something reads, stored at their narrowest width, largest first.
 
 #include <cstdint>
+#include <limits>
 
 #include "noc/geometry.hpp"
 #include "sim/tickable.hpp"
@@ -41,51 +46,50 @@ inline bool is_tail(FlitType t) {
 using PacketId = uint64_t;
 
 struct Flit {
-  PacketId packet_id = 0;
-  /// Logical packet this flit belongs to: equals packet_id except for
-  /// NIC-duplicated broadcast copies, which share the original broadcast's
-  /// id so latency can be measured to the last delivered copy.
-  PacketId logical_id = 0;
-  NodeId src = 0;
   /// Destinations THIS copy is responsible for (1 bit for unicast; the
   /// packet's full set at injection). On a multicast fork each branch copy
   /// receives a disjoint partition, so no node is delivered to twice
   /// (DESIGN.md Sec 3). This is the only destination field a flit carries
   /// -- matching the hardware, whose head flit holds one mask that each
   /// router rewrites at a fork; the packet-level full set lives in
-  /// Packet::dest_mask. Keeping the flit to a single multi-word mask also
-  /// keeps the hot-path copy small (docs/SCALING.md).
+  /// Packet::dest_mask (docs/SCALING.md).
   DestMask branch_mask;
+  /// Logical packet this flit belongs to: the packet's own id, except for
+  /// NIC-duplicated broadcast copies, which share the original broadcast's
+  /// id so latency can be measured to the last delivered copy.
+  PacketId logical_id = 0;
+  /// Workload-level correlation tag carried end-to-end (the hardware encodes
+  /// this in head-flit transaction-id fields). Closed-loop sources stamp a
+  /// probe's id here and echo it in the response so the requester can match
+  /// a delivery to the outstanding miss it completes. 0 = untagged.
+  uint64_t tag = 0;
+  /// Cycle the packet was created at the source NIC (includes source
+  /// queueing in latency -- the paper's saturation definition needs this).
+  Cycle gen_cycle = 0;
+  int16_t src = 0;
+  /// Position within the packet: 0 .. packet_len-1 (bounded by
+  /// kMaxPacketFlits, noc/packet.hpp).
+  int8_t seq = 0;
+  int8_t packet_len = 1;
+  /// VC id at the input port the flit is currently heading to / stored in
+  /// (bounded by kMaxTotalVcs, noc/buffers.hpp).
+  int8_t vc = -1;
   MsgClass mc = MsgClass::Request;
   FlitType type = FlitType::HeadTail;
   /// Routing class (see RouteClass above). Routers rewrite it on a fork /
   /// forward exactly like branch_mask: an Adaptive flit granted an escape
   /// VC continues downstream as Escape.
   RouteClass rc = RouteClass::XY;
-  /// Workload-level correlation tag carried end-to-end (the hardware encodes
-  /// this in head-flit transaction-id fields). Closed-loop sources stamp a
-  /// probe's id here and echo it in the response so the requester can match
-  /// a delivery to the outstanding miss it completes. 0 = untagged.
-  uint64_t tag = 0;
-  /// Position within the packet: 0 .. packet_len-1.
-  int seq = 0;
-  int packet_len = 1;
-  /// 64-bit payload word (PRBS-generated); drives data-dependent energy.
-  uint64_t payload = 0;
-  /// VC id at the input port the flit is currently heading to / stored in.
-  int vc = -1;
-  /// Cycle the packet was created at the source NIC (includes source
-  /// queueing in latency -- the paper's saturation definition needs this).
-  Cycle gen_cycle = 0;
-  /// Cycle the head flit entered the network (left the NIC).
-  Cycle inject_cycle = 0;
 };
+static_assert(DestMask::kCapacity - 1 <=
+                  std::numeric_limits<decltype(Flit::src)>::max(),
+              "Flit::src must hold every node id");
+static_assert(sizeof(Flit) == 64, "a Flit is one cache line");
 
-/// Credit / VC-free signal returned upstream (paper Fig 1 "credit signals").
+/// Credit / VC-free signal returned upstream (paper Fig 1 "credit signals"):
+/// every credit frees one buffer slot of `vc`.
 struct Credit {
   int vc = -1;
-  /// One buffer slot freed (always true for slot credits).
-  bool slot = true;
   /// The tail flit has left (or bypassed) the buffer: the VC itself is free
   /// for reallocation by the upstream VA.
   bool vc_free = false;

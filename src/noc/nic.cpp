@@ -97,7 +97,7 @@ void Nic::submit_packet(Packet pkt) {
       Packet self = pkt;
       self.dest_mask = self_bit;
       FlitList flits;
-      segment_packet_into(self, nullptr, 0, flits);
+      segment_packet_into(self, flits);
       for (const Flit& f : flits) {
         metrics_.on_flit_received(f.logical_id, f, pkt.gen_cycle);
         source_->on_delivery(f, pkt.gen_cycle);
@@ -123,54 +123,44 @@ void Nic::submit_packet(Packet pkt) {
 
 bool Nic::try_activate(MsgClass mc) {
   const int m = static_cast<int>(mc);
-  if (active_[m].has_value()) return true;
+  ActiveTx& tx = active_[m];
+  if (tx.active()) return true;
   if (queue_[m].empty()) return false;
   const int vc = ds_.allocate_vc(mc);
   if (vc < 0) return false;
   ++energy_.vc_allocations;
-  Packet pkt = queue_[m].pop_front();
-  uint64_t payloads[kMaxPacketFlits];
-  NOC_ASSERT(pkt.length <= kMaxPacketFlits);
-  for (int i = 0; i < pkt.length; ++i) payloads[i] = source_->next_payload();
-  ActiveTx tx;
-  segment_packet_into(pkt, payloads, pkt.length, tx.flits);
+  segment_packet_into(queue_[m].pop_front(), tx.flits);
+  tx.next = 0;
   tx.vc = vc;
-  active_[m] = tx;
   return true;
 }
 
 bool Nic::can_send(MsgClass mc) const {
-  const int m = static_cast<int>(mc);
-  if (!active_[m].has_value()) return false;
-  return ds_.credits(active_[m]->vc) > 0;
+  const ActiveTx& tx = active_[static_cast<int>(mc)];
+  return tx.active() && ds_.credits(tx.vc) > 0;
 }
 
 void Nic::send_flit(MsgClass mc, Cycle now) {
-  const int m = static_cast<int>(mc);
-  auto& tx = *active_[m];
-  Flit f = tx.flits[tx.next++];
+  ActiveTx& tx = active_[static_cast<int>(mc)];
+  Flit& f = tx.flits[tx.next++];
   f.vc = tx.vc;
-  f.inject_cycle = now;
   ds_.consume_credit(tx.vc);
   NOC_ASSERT(ch_.flit_to_router != nullptr);
   ch_.flit_to_router->send(now, f);
   ++energy_.nic_link_traversals;
   metrics_.on_injection_link(node_);
   if (router_cfg_.has_bypass() && ch_.la_to_router != nullptr) {
-    Lookahead la;
-    la.in_port = port_index(PortDir::Local);
-    la.flit = f;
-    ch_.la_to_router->send(now, la);
+    ch_.la_to_router->send(now, Lookahead{port_index(PortDir::Local), f});
     ++energy_.lookaheads_sent;
   }
-  if (tx.done()) active_[m].reset();
+  if (tx.next >= tx.flits.size()) tx.vc = -1;
 }
 
 void Nic::tick_inject(Cycle now) {
   // Apply credits from the router's Local input port.
   if (ch_.credit_from_router != nullptr) {
     for (const Credit& c : ch_.credit_from_router->arrivals()) {
-      if (c.slot) ds_.return_credit(c.vc);
+      ds_.return_credit(c.vc);
       if (c.vc_free) ds_.release_vc(c.vc);
     }
   }
@@ -212,13 +202,8 @@ void Nic::tick_eject(Cycle now) {
   if (occupied == 0) return;
   const int v = rx_rr_.arbitrate(occupied);
   Flit f = rx_vcs_[static_cast<size_t>(v)].pop_front();
-  if (ch_.credit_to_router != nullptr) {
-    Credit c;
-    c.vc = v;
-    c.slot = true;
-    c.vc_free = is_tail(f.type);
-    ch_.credit_to_router->send(now, c);
-  }
+  if (ch_.credit_to_router != nullptr)
+    ch_.credit_to_router->send(now, Credit{v, is_tail(f.type)});
   if (telemetry_ != nullptr && is_tail(f.type) &&
       telemetry_->tracing(f.logical_id))
     telemetry_->trace(TraceEventType::Eject, now, f.logical_id, node_);
@@ -231,7 +216,7 @@ void Nic::tick_eject(Cycle now) {
 
 bool Nic::inject_busy() const {
   for (int m = 0; m < kNumMsgClasses; ++m)
-    if (!queue_[m].empty() || active_[m].has_value()) return true;
+    if (!queue_[m].empty() || active_[m].active()) return true;
   return false;
 }
 

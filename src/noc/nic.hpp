@@ -22,7 +22,6 @@
 // back to the TrafficSource so closed-loop workloads can react to
 // deliveries.
 
-#include <optional>
 #include <vector>
 
 #include "common/vec_deque.hpp"
@@ -97,11 +96,13 @@ class Nic {
   const TrafficSource& source() const { return *source_; }
 
  private:
+  /// The packet one message class is transmitting, segmented in place at
+  /// activation; vc < 0 = none.
   struct ActiveTx {
     FlitList flits;
     int next = 0;
     int vc = -1;
-    bool done() const { return next >= flits.size(); }
+    bool active() const { return vc >= 0; }
   };
 
   PacketKind classify(const Packet& pkt) const;
@@ -125,7 +126,7 @@ class Nic {
 
   DownstreamState ds_;  // router Local input port credits / free VCs
   VecDeque<Packet> queue_[kNumMsgClasses];
-  std::optional<ActiveTx> active_[kNumMsgClasses];
+  ActiveTx active_[kNumMsgClasses];
   RoundRobinArbiter mc_rr_{kNumMsgClasses};
 
   // Ejection buffers, one FIFO per VC of the router's Local output. Bounded

@@ -4,24 +4,21 @@
 
 namespace noc {
 
-void segment_packet_into(const Packet& p, const uint64_t* payloads,
-                         int npayloads, FlitList& out) {
+void segment_packet_into(const Packet& p, FlitList& out) {
   NOC_EXPECTS(p.length >= 1 && p.length <= kMaxPacketFlits);
   NOC_EXPECTS(p.dest_mask.any());
   out.clear();
   for (int i = 0; i < p.length; ++i) {
     Flit f;
-    f.packet_id = p.id;
     f.logical_id = p.effective_logical_id();
-    f.src = p.src;
+    f.src = static_cast<int16_t>(p.src);
     f.branch_mask = p.dest_mask;
     f.mc = p.mc;
     f.rc = p.rc;
     f.tag = p.tag;
-    f.seq = i;
-    f.packet_len = p.length;
+    f.seq = static_cast<int8_t>(i);
+    f.packet_len = static_cast<int8_t>(p.length);
     f.gen_cycle = p.gen_cycle;
-    f.payload = i < npayloads ? payloads[i] : 0;
     if (p.length == 1) {
       f.type = FlitType::HeadTail;
     } else if (i == 0) {
@@ -35,11 +32,9 @@ void segment_packet_into(const Packet& p, const uint64_t* payloads,
   }
 }
 
-std::vector<Flit> segment_packet(const Packet& p,
-                                 const std::vector<uint64_t>& payloads) {
+std::vector<Flit> segment_packet(const Packet& p) {
   FlitList flits;
-  segment_packet_into(p, payloads.data(), static_cast<int>(payloads.size()),
-                      flits);
+  segment_packet_into(p, flits);
   return std::vector<Flit>(flits.begin(), flits.end());
 }
 

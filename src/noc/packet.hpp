@@ -3,6 +3,7 @@
 // a head flit with the destination, body flits, and a tail flit; single-flit
 // packets exist where one flit is both head and tail).
 
+#include <limits>
 #include <vector>
 
 #include "common/inline_vec.hpp"
@@ -50,16 +51,17 @@ inline int default_packet_length(MsgClass mc) {
 
 /// Upper bound on flits per packet (paper max is the 5-flit response).
 constexpr int kMaxPacketFlits = 8;
+static_assert(kMaxPacketFlits <=
+                  std::numeric_limits<decltype(Flit::packet_len)>::max() &&
+              kMaxPacketFlits <= std::numeric_limits<decltype(Flit::seq)>::max(),
+              "Flit::seq/packet_len must hold every packet length");
 using FlitList = InlineVec<Flit, kMaxPacketFlits>;
 
 /// Segment a packet into `out` without allocating (the NIC's injection
-/// path). `payloads`/`npayloads` feed per-flit payload words (callers
-/// typically use a PRBS stream); missing words default to 0.
-void segment_packet_into(const Packet& p, const uint64_t* payloads,
-                         int npayloads, FlitList& out);
+/// path).
+void segment_packet_into(const Packet& p, FlitList& out);
 
 /// Convenience wrapper returning a heap vector (tests / offline tools).
-std::vector<Flit> segment_packet(const Packet& p,
-                                 const std::vector<uint64_t>& payloads = {});
+std::vector<Flit> segment_packet(const Packet& p);
 
 }  // namespace noc

@@ -108,7 +108,7 @@ void Router::apply_credits(Cycle, const PortMask& active) {
     if (!ip.connected || ip.ch.credit_in == nullptr) continue;
     for (const Credit& c : ip.ch.credit_in->arrivals()) {
       auto& ds = out_[static_cast<size_t>(p)].ds;
-      if (c.slot) ds.return_credit(c.vc);
+      ds.return_credit(c.vc);
       if (c.vc_free) ds.release_vc(c.vc);
     }
   }
@@ -301,11 +301,7 @@ void Router::send_lookahead(Cycle now, const Flit& f, const GrantOut& go) {
 void Router::send_credit_upstream(Cycle now, int port, int vc, bool vc_free) {
   auto* ch = in_[static_cast<size_t>(port)].ch.credit_out;
   NOC_ASSERT(ch != nullptr);
-  Credit c;
-  c.vc = vc;
-  c.slot = true;
-  c.vc_free = vc_free;
-  ch->send(now, c);
+  ch->send(now, Credit{vc, vc_free});
 }
 
 int Router::serviceable_seq(const InputVc& ivc) const {
@@ -315,7 +311,7 @@ int Router::serviceable_seq(const InputVc& ivc) const {
     if (!ivc.has_seq(b.next_seq)) continue;
     if (!out_[static_cast<size_t>(port_index(b.out))].ds.has_credit(b.ds_vc))
       continue;
-    s = std::min(s, b.next_seq);
+    s = std::min<int>(s, b.next_seq);
   }
   return s;
 }
@@ -406,7 +402,6 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
     if (ip.bypass.valid) {
       NOC_ASSERT(ip.bypass.vc == f.vc && ip.bypass.seq == f.seq);
       for (const auto& go : ip.bypass.outs) forward_copy(now, f, go);
-      ++ivc.accepted_flits;
       if (ip.bypass.full) {
         ++energy_.bypasses;
         const bool last = is_tail(f.type) && ivc.all_branches_done();
@@ -433,7 +428,6 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
     if (is_head(f.type) && !ivc.busy()) open_packet_state(now, p, f);
     NOC_ASSERT(ivc.busy());
     ivc.push(f);
-    ++ivc.accepted_flits;
     ++energy_.buffer_writes;
     ++energy_.buffered_hops;
   }

@@ -45,11 +45,7 @@ OpenLoopSource::OpenLoopSource(const MeshGeometry& geom,
       rate_(cfg.offered_flits_per_node_cycle),
       // Identical seeds across NICs reproduce the chip's synchronized-PRBS
       // artifact; otherwise each NIC gets an independent stream.
-      rng_(cfg.identical_prbs ? cfg.seed : node_rng_seed(cfg.seed, node)),
-      payload_prbs_(Prbs::Poly::PRBS31,
-                    cfg.identical_prbs
-                        ? static_cast<uint32_t>(cfg.seed | 1)
-                        : node_prbs_seed(cfg.seed, node)) {
+      rng_(cfg.identical_prbs ? cfg.seed : node_rng_seed(cfg.seed, node)) {
   NOC_EXPECTS(cfg.offered_flits_per_node_cycle >= 0.0);
 }
 

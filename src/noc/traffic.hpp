@@ -30,7 +30,6 @@
 #include <string_view>
 
 #include "common/active_set.hpp"
-#include "common/prbs.hpp"
 #include "common/rng.hpp"
 #include "noc/geometry.hpp"
 #include "noc/packet.hpp"
@@ -53,16 +52,11 @@ const char* traffic_pattern_name(TrafficPattern p);
 /// bench/example command lines ("uniform", "mixed", "broadcast", ...).
 std::optional<TrafficPattern> parse_traffic_pattern(std::string_view name);
 
-/// Shared (seed, node) stream derivations: every TrafficSource family draws
-/// its RNG and payload-PRBS streams through these, so per-node streams stay
-/// independent but reproducible -- and equivalent across source families.
+/// Shared (seed, node) stream derivation: every TrafficSource family draws
+/// its RNG stream through this, so per-node streams stay independent but
+/// reproducible -- and equivalent across source families.
 inline uint64_t node_rng_seed(uint64_t seed, NodeId node) {
   return seed ^ SplitMix64(static_cast<uint64_t>(node) + 1).next();
-}
-inline uint32_t node_prbs_seed(uint64_t seed, NodeId node) {
-  return static_cast<uint32_t>((seed + 77u) *
-                               (static_cast<uint32_t>(node) + 13u)) |
-         1u;
 }
 
 /// MixedPaper fractions (paper Fig 5): broadcast requests, unicast
@@ -86,9 +80,9 @@ struct TrafficConfig {
 ///  - Determinism: a source's behaviour is a pure function of
 ///    (config, seed, node) and the delivery events it observes, so
 ///    simulations are bit-identical at any ExperimentRunner thread count.
-///  - Allocation: generate / on_delivery / next_payload must not touch the
-///    heap once the network is warmed up (pre-size state in the
-///    constructor; use the inline containers in src/common/).
+///  - Allocation: generate / on_delivery must not touch the heap once the
+///    network is warmed up (pre-size state in the constructor; use the
+///    inline containers in src/common/).
 ///  - generate() is called once per cycle before the routers tick and may
 ///    emit at most one logical packet.
 ///  - on_delivery() is called for every flit drained at this node's NIC
@@ -100,9 +94,6 @@ class TrafficSource {
 
   /// Possibly emit one logical packet this cycle.
   virtual std::optional<Packet> generate(Cycle now) = 0;
-
-  /// 64-bit payload word for the next injected flit (PRBS stream).
-  virtual uint64_t next_payload() = 0;
 
   /// A flit addressed to this node was drained at the NIC.
   virtual void on_delivery(const Flit& flit, Cycle now) {
@@ -201,9 +192,6 @@ class OpenLoopSource final : public TrafficSource {
   /// identical-PRBS accumulator).
   std::optional<Packet> generate(Cycle now) override;
 
-  /// 64-bit PRBS payload word for the next flit.
-  uint64_t next_payload() override { return payload_prbs_.next_bits(64); }
-
   /// Bernoulli draws happen every cycle, so with a positive rate the source
   /// may fire immediately; the identical-PRBS accumulator is deterministic
   /// and the exact fire cycle is predicted by replaying its per-cycle
@@ -239,7 +227,6 @@ class OpenLoopSource final : public TrafficSource {
   NodeId node_;
   double rate_;
   Xoshiro256 rng_;
-  Prbs payload_prbs_;
   uint64_t next_local_id_ = 0;
   /// Identical-PRBS mode: deterministic rate accumulator so every NIC
   /// injects at exactly the same cycles (the on-chip generators were

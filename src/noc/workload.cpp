@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/parse.hpp"
 
 namespace noc {
 
@@ -61,16 +62,14 @@ std::shared_ptr<Trace> load_trace(const std::string& path,
                                       "cannot open trace file");
   auto trace = std::make_shared<Trace>();
   char line[256];
-  char mask_hex[DestMask::kMaxHexChars + 2];  // overflow sentinel slot
-  // The %65s scan width must track the buffer: one char beyond the widest
-  // valid mask, so an overlong token lands in the sentinel slot and
-  // from_hex rejects it instead of the tail bleeding into the %d fields.
-  static_assert(DestMask::kMaxHexChars + 1 == 65,
-                "update the %65s scan width below to kMaxHexChars + 1");
   int lineno = 0;
   bool saw_header = false;
   while (std::fgets(line, sizeof line, f) != nullptr) {
     ++lineno;
+    // fgets splits a line longer than the buffer; the tail would otherwise
+    // parse as a record of its own.
+    if (std::strchr(line, '\n') == nullptr && !std::feof(f))
+      return trace_fail(f, error, path, lineno, "trace line too long");
     if (!saw_header) {
       // The first line must identify the format: geometry-stamped v2 or
       // the legacy geometry-less v1. Anything else is not a trace file --
@@ -92,14 +91,28 @@ std::shared_ptr<Trace> load_trace(const std::string& path,
                         "'# noc-trace v2 geometry KXxKY' header)");
     }
     if (line[0] == '#' || line[0] == '\n') continue;
+    // Exactly five whitespace-separated tokens, each parsed whole: a
+    // suffix ("0garbage"), a fraction ("1.7") or an overflowing cycle
+    // fails instead of loading a prefix or a saturated value. Tokens are
+    // split in place, each NUL-terminated at its separator.
+    constexpr const char* kSpace = " \t\r\n";
+    char* tok[6];
+    int ntok = 0;
+    for (char* p = line + std::strspn(line, kSpace); *p != '\0' && ntok < 6;) {
+      tok[ntok++] = p;
+      p += std::strcspn(p, kSpace);
+      if (*p != '\0') *p++ = '\0';
+      p += std::strspn(p, kSpace);
+    }
     TraceRecord r;
     int mc = 0;
-    if (std::sscanf(line, "%" SCNd64 " %d %65s %d %d", &r.cycle, &r.src,
-                    mask_hex, &r.length, &mc) != 5 ||
-        !DestMask::from_hex(mask_hex, r.dest_mask) || r.cycle < 0 ||
-        r.src < 0 || r.src >= DestMask::kCapacity || r.dest_mask.none() ||
-        r.length < 1 || r.length > kMaxPacketFlits || mc < 0 ||
-        mc >= kNumMsgClasses)
+    if (ntok != 5 || !parse_number(tok[0], &r.cycle) ||
+        !parse_number(tok[1], &r.src) ||
+        !DestMask::from_hex(tok[2], r.dest_mask) ||
+        !parse_number(tok[3], &r.length) || !parse_number(tok[4], &mc) ||
+        r.cycle < 0 || r.src < 0 || r.src >= DestMask::kCapacity ||
+        r.dest_mask.none() || r.length < 1 || r.length > kMaxPacketFlits ||
+        mc < 0 || mc >= kNumMsgClasses)
       return trace_fail(f, error, path, lineno, "malformed trace record");
     if (trace->kx > 0 && r.src >= trace->kx * trace->ky)
       return trace_fail(f, error, path, lineno,
@@ -142,8 +155,7 @@ ClosedLoopSource::ClosedLoopSource(const MeshGeometry& geom,
       node_(node),
       seed_(traffic.seed),
       issue_prob_(cfg.issue_prob),
-      rng_(node_rng_seed(traffic.seed, node)),
-      payload_prbs_(Prbs::Poly::PRBS31, node_prbs_seed(traffic.seed, node)) {
+      rng_(node_rng_seed(traffic.seed, node)) {
   NOC_EXPECTS(geom.num_nodes() >= 2);
   NOC_EXPECTS(cfg.validate() == nullptr);
   // Worst case every outstanding probe in the system is owned here.
@@ -295,11 +307,9 @@ TrafficSource::WindowStats ClosedLoopSource::window_stats() const {
 // ---------------------------------------------------------------------------
 // TraceSource.
 
-TraceSource::TraceSource(const MeshGeometry& geom,
-                         const TrafficConfig& traffic,
-                         const Trace& trace, NodeId node)
-    : node_(node),
-      payload_prbs_(Prbs::Poly::PRBS31, node_prbs_seed(traffic.seed, node)) {
+TraceSource::TraceSource(const MeshGeometry& geom, const Trace& trace,
+                         NodeId node)
+    : node_(node) {
   // Geometry-stamped traces must match the mesh exactly; callers with a
   // message channel should pre-check trace_geometry_error themselves.
   NOC_EXPECTS(trace_geometry_error(trace, geom.kx(), geom.ky()).empty());
@@ -372,8 +382,7 @@ std::unique_ptr<TrafficSource> make_traffic_source(
                                                 node);
     case WorkloadKind::Trace:
       NOC_EXPECTS(spec.trace.trace != nullptr);
-      return std::make_unique<TraceSource>(geom, traffic, *spec.trace.trace,
-                                           node);
+      return std::make_unique<TraceSource>(geom, *spec.trace.trace, node);
   }
   NOC_ASSERT(false);
   return nullptr;

@@ -127,7 +127,6 @@ class ClosedLoopSource final : public TrafficSource {
                    const ClosedLoopConfig& cfg, NodeId node);
 
   std::optional<Packet> generate(Cycle now) override;
-  uint64_t next_payload() override { return payload_prbs_.next_bits(64); }
   void on_delivery(const Flit& flit, Cycle now) override;
   void on_drop(const Packet& pkt, const DestMask& dropped, Cycle now) override;
   Cycle next_fire_cycle(Cycle from) const override;
@@ -168,7 +167,6 @@ class ClosedLoopSource final : public TrafficSource {
   uint64_t seed_;  // node-independent: all nodes must agree on owner_of
   double issue_prob_;
   Xoshiro256 rng_;
-  Prbs payload_prbs_;
   uint64_t next_local_id_ = 0;
   Cycle next_miss_eligible_ = 0;
   InlineVec<OutstandingMiss, kMaxMshrWindow> outstanding_;
@@ -191,11 +189,9 @@ class ClosedLoopSource final : public TrafficSource {
 /// earliest cycle >= the recorded one (NIC queues absorb any backlog).
 class TraceSource final : public TrafficSource {
  public:
-  TraceSource(const MeshGeometry& geom, const TrafficConfig& traffic,
-              const Trace& trace, NodeId node);
+  TraceSource(const MeshGeometry& geom, const Trace& trace, NodeId node);
 
   std::optional<Packet> generate(Cycle now) override;
-  uint64_t next_payload() override { return payload_prbs_.next_bits(64); }
   Cycle next_fire_cycle(Cycle from) const override;
   bool idle() const override { return next_ >= mine_.size(); }
   void begin_window(Cycle now) override;
@@ -207,7 +203,6 @@ class TraceSource final : public TrafficSource {
 
  private:
   NodeId node_;
-  Prbs payload_prbs_;
   std::vector<TraceRecord> mine_;  // this node's records, time-ordered
   size_t next_ = 0;
   uint64_t next_local_id_ = 0;

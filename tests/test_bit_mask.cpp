@@ -183,17 +183,22 @@ TEST(BitMask, RandomizedIncrementalVsRecomputeMultiWord) {
 // DownstreamState keeps free/credit availability as incrementally-updated
 // masks plus per-lane credit sums. Drive it with a random but legal
 // allocate/release/consume/return sequence and diff every mask against a
-// from-scratch shadow recompute after each event.
-TEST(BitMask, DownstreamStateMasksMatchShadowModel) {
-  VcConfig cfg;  // paper shape: 4x1 Request, 2x3 Response
+// from-scratch shadow recompute after each event. The shadow also keeps one
+// release-ordered free list per message class: VA must hand out the
+// least-recently-freed VC of the requested lane (of the whole class for
+// Any), the order gating/threading bit-identity depends on.
+void downstream_shadow_check(const VcConfig& cfg, uint64_t seed) {
   DownstreamState ds;
   ds.configure(cfg);
   const int total = cfg.total_vcs();
 
   std::vector<bool> free_shadow(static_cast<size_t>(total), true);
   std::vector<int> credit_shadow(static_cast<size_t>(total));
-  for (int vc = 0; vc < total; ++vc)
+  std::vector<int> order_shadow[kNumMsgClasses];  // oldest release first
+  for (int vc = 0; vc < total; ++vc) {
     credit_shadow[static_cast<size_t>(vc)] = cfg.depth_of_vc(vc);
+    order_shadow[static_cast<int>(cfg.mc_of_vc(vc))].push_back(vc);
+  }
 
   auto check = [&]() {
     VcMask free_expect, credit_expect;
@@ -227,14 +232,22 @@ TEST(BitMask, DownstreamStateMasksMatchShadowModel) {
       ASSERT_EQ(ds.has_credit(vc), credit_shadow[static_cast<size_t>(vc)] > 0);
   };
 
-  Xoshiro256 rng(0xdeadf00d);
+  Xoshiro256 rng(seed);
   check();
   for (int step = 0; step < 20000; ++step) {
     switch (rng.next_u64() % 4) {
       case 0: {  // VA
         const auto mc = static_cast<MsgClass>(rng.next_u64() % kNumMsgClasses);
         const auto lane = static_cast<VcLane>(static_cast<int>(rng.next_u64() % 3) - 1);
+        auto& order = order_shadow[static_cast<int>(mc)];
+        auto oldest = order.begin();
+        while (oldest != order.end() && lane != VcLane::Any &&
+               cfg.lane_of_vc(*oldest) != lane)
+          ++oldest;
         const int vc = ds.allocate_vc(mc, lane);
+        ASSERT_EQ(vc, oldest == order.end() ? -1 : *oldest)
+            << "step " << step << " mc " << static_cast<int>(mc) << " lane "
+            << static_cast<int>(lane);
         if (vc >= 0) {
           ASSERT_TRUE(free_shadow[static_cast<size_t>(vc)]);
           ASSERT_EQ(cfg.mc_of_vc(vc), mc);
@@ -242,6 +255,7 @@ TEST(BitMask, DownstreamStateMasksMatchShadowModel) {
             ASSERT_EQ(cfg.lane_of_vc(vc), lane);
           }
           free_shadow[static_cast<size_t>(vc)] = false;
+          order.erase(oldest);
         }
         break;
       }
@@ -250,6 +264,7 @@ TEST(BitMask, DownstreamStateMasksMatchShadowModel) {
         if (!free_shadow[static_cast<size_t>(vc)]) {
           ds.release_vc(vc);
           free_shadow[static_cast<size_t>(vc)] = true;
+          order_shadow[static_cast<int>(cfg.mc_of_vc(vc))].push_back(vc);
         }
         break;
       }
@@ -271,7 +286,21 @@ TEST(BitMask, DownstreamStateMasksMatchShadowModel) {
       }
     }
     check();
+    if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(BitMask, DownstreamStateMasksMatchShadowModel) {
+  // Paper shape: 4x1 Request, 2x3 Response.
+  downstream_shadow_check(VcConfig{}, 0xdeadf00d);
+  // Every VC id a port can hold, with odd lane splits in both classes.
+  VcConfig wide;
+  wide.vcs_per_mc[0] = 9;
+  wide.vcs_per_mc[1] = 7;
+  wide.depth_per_mc[0] = 2;
+  wide.depth_per_mc[1] = kMaxVcDepth;
+  ASSERT_EQ(wide.total_vcs(), kMaxTotalVcs);
+  downstream_shadow_check(wide, 0x5eed16);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@ namespace {
 
 Flit tail_flit(PacketId id, int seq = 0, int len = 1) {
   Flit f;
-  f.packet_id = id;
   f.logical_id = id;
   f.seq = seq;
   f.packet_len = len;

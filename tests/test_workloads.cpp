@@ -396,6 +396,37 @@ TEST(TraceWorkload, LoadRejectsMissingAndMalformedFiles) {
   std::fprintf(f, "# noc-trace v1\n100 0 0 1 0\n");
   std::fclose(f);
   EXPECT_EQ(load_trace(path), nullptr);
+  // Every field is one whole token: no suffixes, no extra tokens, no
+  // fractional class, no cycle that only fits after saturating.
+  // A line past the read buffer must not split into two records.
+  const std::string line_too_long =
+      "10 3 1f 1 0" + std::string(250, ' ') + "11 3 1f 1 0";
+  for (const char* bad :
+       {"10 3 1f 1 0garbage", "10 3 1f 1 0 extra", "10 3 1f 1 1.7",
+        "99999999999999999999 3 1f 1 0", "10 3x 1f 1 0", "10 3 1f 1x 0",
+        line_too_long.c_str()}) {
+    f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "# noc-trace v1\n%s\n", bad);
+    std::fclose(f);
+    std::string error;
+    EXPECT_EQ(load_trace(path, &error), nullptr) << bad;
+    EXPECT_NE(error.find(":2: "), std::string::npos) << error;
+  }
+  // The strict parser still takes well-formed records, with or without a
+  // final newline.
+  f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fprintf(f, "# noc-trace v1\n10 3 1f 1 0\n\t12  4 10000000000000000 5 1");
+  std::fclose(f);
+  const auto ok = load_trace(path);
+  ASSERT_NE(ok, nullptr);
+  ASSERT_EQ(ok->records.size(), 2u);
+  EXPECT_EQ(ok->records[1].cycle, 12);
+  EXPECT_EQ(ok->records[1].src, 4);
+  EXPECT_TRUE(ok->records[1].dest_mask.test(64));
+  EXPECT_EQ(ok->records[1].length, 5);
+  EXPECT_EQ(ok->records[1].mc, MsgClass::Response);
   std::remove(path.c_str());
 }
 
