@@ -142,15 +142,6 @@ class BitMask {
     return w_[i];
   }
 
-  /// Mutable storage-word pointer. Exists for exactly one caller: the
-  /// activity machinery's WakeHook ORs a port bit into a router's wake mask
-  /// through a raw word pointer so common/active_set.hpp needs no dependency
-  /// on the mask's width (src/noc/network.cpp, docs/PERF.md Layer 5).
-  constexpr uint64_t* word_ptr(int i) {
-    NOC_EXPECTS(i >= 0 && i < kWords);
-    return &w_[i];
-  }
-
   /// this & ~other without materializing the complement.
   constexpr BitMask andnot(const BitMask& other) const {
     BitMask r;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/parse.hpp"
+
 namespace noc {
 
 namespace {
@@ -64,36 +66,31 @@ bool CliArgs::has(const std::string& flag) const {
 
 namespace {
 // A malformed numeric value must stop the run, not silently truncate
-// ("--window 12o00" -> 12) past the typo guard. These helpers back a
-// convenience CLI for benches/examples, so exiting here is fine.
-[[noreturn]] void bad_value(const std::string& flag,
-                            const std::string& value) {
-  std::fprintf(stderr, "invalid value for --%s: '%s'\n", flag.c_str(),
-               value.c_str());
-  std::exit(1);
+// ("--window 12o00" -> 12), saturate ("--window 99999999999999999999") or
+// pass a non-finite rate ("--load nan") past the typo guard. A numeric flag
+// given without a value ("--window" or "--window --next") is the same
+// silent-misconfiguration class. These helpers back a convenience CLI for
+// benches/examples, so exiting here is fine.
+template <typename T>
+T parse_or_exit(const std::string& flag, const std::string& value) {
+  T v{};
+  if (!parse_number(value, &v)) {
+    std::fprintf(stderr, "invalid value for --%s: '%s'\n", flag.c_str(),
+                 value.c_str());
+    std::exit(1);
+  }
+  return v;
 }
 }  // namespace
 
 int64_t CliArgs::get_int(const std::string& flag, int64_t dflt) const {
   const Flag* f = find(flag);
-  if (f == nullptr) return dflt;
-  // A numeric flag given without a value ("--window" or "--window --next")
-  // is the same silent-misconfiguration class as a malformed value.
-  if (f->value.empty()) bad_value(f->name, f->value);
-  char* end = nullptr;
-  const int64_t v = std::strtoll(f->value.c_str(), &end, 10);
-  if (end == f->value.c_str() || *end != '\0') bad_value(f->name, f->value);
-  return v;
+  return f == nullptr ? dflt : parse_or_exit<int64_t>(f->name, f->value);
 }
 
 double CliArgs::get_double(const std::string& flag, double dflt) const {
   const Flag* f = find(flag);
-  if (f == nullptr) return dflt;
-  if (f->value.empty()) bad_value(f->name, f->value);
-  char* end = nullptr;
-  const double v = std::strtod(f->value.c_str(), &end);
-  if (end == f->value.c_str() || *end != '\0') bad_value(f->name, f->value);
-  return v;
+  return f == nullptr ? dflt : parse_or_exit<double>(f->name, f->value);
 }
 
 std::string CliArgs::get_str(const std::string& flag,

@@ -39,6 +39,9 @@ using VcMask = BitMask<kMaxTotalVcs>;
 static_assert(kMaxTotalVcs <= 32, "arbiters consume VcMask as one word");
 static_assert(kMaxTotalVcs - 1 <= std::numeric_limits<decltype(Flit::vc)>::max(),
               "Flit::vc must hold every VC id");
+static_assert(kMaxTotalVcs - 1 <=
+                  std::numeric_limits<decltype(Credit::vc)>::max(),
+              "Credit::vc must hold every VC id");
 
 /// One bit per (input port, VC id) pair of a whole router, laid out
 /// structure-of-arrays: bit p * kMaxTotalVcs + v. The router's busy-VC set

@@ -89,7 +89,7 @@ static_assert(sizeof(Flit) == 64, "a Flit is one cache line");
 /// Credit / VC-free signal returned upstream (paper Fig 1 "credit signals"):
 /// every credit frees one buffer slot of `vc`.
 struct Credit {
-  int vc = -1;
+  int8_t vc = -1;  // bounded like Flit::vc
   /// The tail flit has left (or bypassed) the buffer: the VC itself is free
   /// for reallocation by the upstream VA.
   bool vc_free = false;

@@ -41,13 +41,26 @@ NetworkConfig NetworkConfig::baseline_4stage(int k) {
   return c;
 }
 
-template <typename T>
-Channel<T>* Network::make_channel(std::vector<Channel<T>>& pool, int latency) {
+template <typename C>
+C* Network::make_channel(std::vector<C>& pool, int latency, NodeId from,
+                         NodeId to, const WakeHook& wake) {
   // The constructor reserved the exact pool size up front; growing past it
   // would reallocate and dangle every pointer already wired in.
   NOC_ASSERT(pool.size() < pool.capacity());
-  pool.emplace_back(latency);
-  return &pool.back();
+  C& ch = pool.emplace_back(latency);
+  ch.set_wake_target(wake);
+  // The receiver's span owns the channel: the in-flight count (always kept:
+  // quiescent() relies on it) and every wake target live there, and a
+  // channel whose sender lives in another span is the boundary case -- it
+  // becomes deferred (sends staged, committed by the owner after the
+  // compute barrier).
+  StepSpan& sp = span_of(to);
+  ch.set_counter(sp.items.data());
+  if (part_.crosses(from, to)) {
+    ch.set_deferred(true);
+    std::get<std::vector<C*>>(sp.cross).push_back(&ch);
+  }
+  return &ch;
 }
 
 Network::Network(const NetworkConfig& cfg)
@@ -136,52 +149,52 @@ Network::Network(const NetworkConfig& cfg)
   credit_channels_.reserve(static_cast<size_t>(2 * n_edges + 2 * n));
   if (bypass) la_channels_.reserve(static_cast<size_t>(2 * n_edges + n));
 
-  // Router-to-router wiring. Each undirected edge gets one channel of each
-  // kind per direction. We visit each edge once (East and North neighbors).
-  // With gating, each channel learns which component its arrivals must wake;
-  // wake bits live in the receiver's owning span so every mask write during
-  // a parallel step stays worker-local.
-  auto router_wake = [&](NodeId r) {
-    return gated ? WakeHook{&span_of(r).router_awake, r} : WakeHook{};
-  };
-  // Per-port wake refinement (docs/PERF.md Layer 5): a channel toward
-  // router r arrives at exactly one input port, so its hook also ORs that
-  // port's bit into r's wake word -- the ticking router then sweeps only
-  // ports with work. Channels fire during the receiver-owned channel sweep
-  // (or the same node's inject phase for the latency-0 NIC lookahead), both
-  // before the router pass, so the bits are complete when r ticks; the
-  // channel and the word share r's span, so the raw-word OR stays
+  // With gating, each channel wakes its receiver when a message is sent,
+  // for the arrival cycle: a latency-1 send marks the span's next-cycle
+  // mask, the latency-0 NIC lookahead this cycle's (it is sent during the
+  // inject phase, before the router pass). Wake bits live in the
+  // receiver's span, so every mask write during a parallel step stays
   // worker-local.
-  auto router_port_wake = [&](NodeId r, PortDir in_at_r) {
-    WakeHook h = router_wake(r);
-    if (gated && cfg.router.port_gating) {
-      h.port_word = routers_[static_cast<size_t>(r)]->arm_port_wake();
-      h.port_bits = uint64_t{1} << port_index(in_at_r);
+  //
+  // Per-port wake refinement (docs/PERF.md Layer 5): a channel toward
+  // router r arrives at exactly one input port, so its hook also ORs its
+  // own bit (kind, port) into r's wake word for the arrival cycle's parity
+  // -- the ticking router then sweeps only ports with work, and reads only
+  // channels that carry something. The channel and the words share r's
+  // span, so the raw-word OR stays worker-local.
+  using Arrival = Router::Arrival;
+  auto router_wake = [&](NodeId r, PortDir in_at_r, Arrival kind,
+                         int latency = 1) {
+    if (!gated) return WakeHook{};
+    StepSpan& sp = span_of(r);
+    WakeHook h{latency == 0 ? &sp.router_awake : &sp.router_next, r};
+    if (cfg.router.port_gating) {
+      h.port_words = routers_[static_cast<size_t>(r)]->arm_port_wake();
+      h.port_bits = Router::arrival_bit(kind, in_at_r);
     }
     return h;
   };
+  // Router-to-router wiring. Each undirected edge gets one channel of each
+  // kind per direction. We visit each edge once (East and North neighbors).
   auto wire_edge = [&](NodeId a, PortDir a_out, NodeId b) {
     const PortDir b_out = opposite(a_out);
-    auto* f_ab = make_channel(flit_channels_, 1);
-    auto* f_ba = make_channel(flit_channels_, 1);
-    auto* c_ab = make_channel(credit_channels_, 1);  // a's inport -> b's outport
-    auto* c_ba = make_channel(credit_channels_, 1);  // b's inport -> a's outport
-    Channel<Lookahead>* l_ab = bypass ? make_channel(la_channels_, 1) : nullptr;
-    Channel<Lookahead>* l_ba = bypass ? make_channel(la_channels_, 1) : nullptr;
-    flit_ep_.push_back({a, b});
-    flit_ep_.push_back({b, a});
-    credit_ep_.push_back({a, b});
-    credit_ep_.push_back({b, a});
-    if (bypass) {
-      la_ep_.push_back({a, b});
-      la_ep_.push_back({b, a});
-    }
-    f_ab->set_wake_target(router_port_wake(b, b_out));
-    f_ba->set_wake_target(router_port_wake(a, a_out));
-    c_ab->set_wake_target(router_port_wake(b, b_out));
-    c_ba->set_wake_target(router_port_wake(a, a_out));
-    if (l_ab != nullptr) l_ab->set_wake_target(router_port_wake(b, b_out));
-    if (l_ba != nullptr) l_ba->set_wake_target(router_port_wake(a, a_out));
+    auto* f_ab = make_channel(flit_channels_, 1, a, b,
+                              router_wake(b, b_out, Arrival::Flit));
+    auto* f_ba = make_channel(flit_channels_, 1, b, a,
+                              router_wake(a, a_out, Arrival::Flit));
+    // a's inport -> b's outport, and b's inport -> a's outport
+    auto* c_ab = make_channel(credit_channels_, 1, a, b,
+                              router_wake(b, b_out, Arrival::Credit));
+    auto* c_ba = make_channel(credit_channels_, 1, b, a,
+                              router_wake(a, a_out, Arrival::Credit));
+    LookaheadChannel* l_ab =
+        bypass ? make_channel(la_channels_, 1, a, b,
+                              router_wake(b, b_out, Arrival::Lookahead))
+               : nullptr;
+    LookaheadChannel* l_ba =
+        bypass ? make_channel(la_channels_, 1, b, a,
+                              router_wake(a, a_out, Arrival::Lookahead))
+               : nullptr;
 
     Router::PortChannels pa;  // router a, port a_out
     pa.flit_out = f_ab;
@@ -213,27 +226,23 @@ Network::Network(const NetworkConfig& cfg)
   // NIC wiring through each router's Local port. All five channels stay
   // inside the node and therefore inside its span.
   for (NodeId node = 0; node < n; ++node) {
-    auto* f_nr = make_channel(flit_channels_, 1);   // NIC -> router
-    auto* f_rn = make_channel(flit_channels_, 1);   // router -> NIC
-    auto* c_rn = make_channel(credit_channels_, 1); // router local-in -> NIC
-    auto* c_nr = make_channel(credit_channels_, 1); // NIC rx -> router local-out
-    Channel<Lookahead>* l_nr = bypass ? make_channel(la_channels_, 0) : nullptr;
-    flit_ep_.push_back({node, node});
-    flit_ep_.push_back({node, node});
-    credit_ep_.push_back({node, node});
-    credit_ep_.push_back({node, node});
-    if (bypass) la_ep_.push_back({node, node});
-    if (gated) {
-      StepSpan& sp = span_of(node);
-      f_nr->set_wake_target(router_port_wake(node, PortDir::Local));
-      f_rn->set_wake_target({&sp.eject_awake, node});
-      c_rn->set_wake_target({&sp.inject_awake, node});
-      c_nr->set_wake_target(router_port_wake(node, PortDir::Local));
-      // Latency 0: the wake fires at send time, during the NIC injection
-      // phase, so the router sees the lookahead the same cycle.
-      if (l_nr != nullptr)
-        l_nr->set_wake_target(router_port_wake(node, PortDir::Local));
-    }
+    StepSpan& sp = span_of(node);
+    const WakeHook inject =
+        gated ? WakeHook{&sp.inject_next, node} : WakeHook{};
+    const WakeHook eject = gated ? WakeHook{&sp.eject_next, node} : WakeHook{};
+    auto* f_nr = make_channel(flit_channels_, 1, node, node,
+                              router_wake(node, PortDir::Local, Arrival::Flit));
+    auto* f_rn = make_channel(flit_channels_, 1, node, node, eject);
+    // router local-in -> NIC, and NIC rx -> router local-out
+    auto* c_rn = make_channel(credit_channels_, 1, node, node, inject);
+    auto* c_nr = make_channel(
+        credit_channels_, 1, node, node,
+        router_wake(node, PortDir::Local, Arrival::Credit));
+    LookaheadChannel* l_nr =
+        bypass ? make_channel(
+                     la_channels_, 0, node, node,
+                     router_wake(node, PortDir::Local, Arrival::Lookahead, 0))
+               : nullptr;
 
     Router::PortChannels pl;
     pl.flit_in = f_nr;
@@ -273,42 +282,6 @@ void Network::setup_activity() {
   NOC_EXPECTS(n <= DestMask::kCapacity);  // one awake bit per node
   const bool gated = cfg_.activity_gating;
 
-  // Contiguous channel ids per pool so the active-list sweep can recover
-  // the typed pointer from the id alone. Every channel is owned by its
-  // RECEIVER's span: it registers on that span's active list (gated only)
-  // and items counter (always: quiescent() relies on it), and a channel
-  // whose sender lives in a different span is the boundary case -- it
-  // becomes deferred (double-buffered sends committed by the owner after
-  // the compute barrier).
-  const int total = num_channels();
-  for (auto& sp : spans_) {
-    sp.active.init(total);
-    sp.channels.reserve(static_cast<size_t>(total));
-  }
-
-  auto install = [&](auto& ch, const std::pair<NodeId, NodeId>& ep, int id,
-                     auto cross_of) {
-    StepSpan& sp = span_of(ep.second);
-    ch.set_activity(gated ? &sp.active : nullptr, id, &sp.items);
-    sp.channels.push_back(id);
-    if (part_.crosses(ep.first, ep.second)) {
-      ch.set_deferred(true);
-      cross_of(sp).push_back(&ch);
-    }
-  };
-  int id = 0;
-  for (size_t i = 0; i < flit_channels_.size(); ++i, ++id)
-    install(flit_channels_[i], flit_ep_[i], id,
-            [](StepSpan& sp) -> auto& { return sp.cross_flit; });
-  credit_id_base_ = id;
-  for (size_t i = 0; i < credit_channels_.size(); ++i, ++id)
-    install(credit_channels_[i], credit_ep_[i], id,
-            [](StepSpan& sp) -> auto& { return sp.cross_credit; });
-  la_id_base_ = id;
-  for (size_t i = 0; i < la_channels_.size(); ++i, ++id)
-    install(la_channels_[i], la_ep_[i], id,
-            [](StepSpan& sp) -> auto& { return sp.cross_la; });
-
   inject_wake_at_.assign(static_cast<size_t>(n), kCycleNever);
   // Everything starts awake; idle components fall asleep after their first
   // tick, which keeps cycle 0 identical to the ungated walk.
@@ -332,9 +305,11 @@ void Network::setup_activity() {
 //
 // Schedule per cycle:
 //
-//   A. compute  -- each worker runs its spans' timed wakes, channel
-//      deliveries, NIC-inject / router / NIC-eject passes. Every write lands
-//      in span-owned state; sends on cross-span channels only stage.
+//   A. compute  -- each worker runs its spans' wake-ups (last cycle's sends
+//      and timed wakes) and NIC-inject / router / NIC-eject passes, which
+//      read this cycle's arrivals straight from the stamped channel slots.
+//      Every write lands in span-owned state; sends on cross-span channels
+//      only stage.
 //   B. commit   -- each owner replays the messages other spans staged into
 //      its boundary channels, through the normal send path.
 //   C. merge    (main thread) -- add the per-span energy shards and drain
@@ -343,9 +318,10 @@ void Network::setup_activity() {
 // With one span, A is the whole step: components record straight into the
 // network-wide sinks and there is nothing to commit or merge. Bit-identity
 // to one span holds because every within-cycle wake is intra-node, every
-// cross-node interaction crosses a latency>=1 channel (visible only after
-// the next cycle's begin_cycle), and everything C accumulates commutes
-// (Metrics: integer counts, sums, maxima and histogram bins).
+// cross-node interaction crosses a latency>=1 channel (written to a slot
+// stamped with the next cycle, which reads empty until then), and
+// everything C accumulates commutes (Metrics: integer counts, sums, maxima
+// and histogram bins).
 
 void Network::step(Cycle now) {
   apply_faults(now);
@@ -403,8 +379,21 @@ void Network::span_compute(int s, Cycle now) {
   StepSpan& sp = spans_[static_cast<size_t>(s)];
   const bool gated = cfg_.activity_gating;
 
-  // 0. Timed wake-ups: sources that promised a future fire cycle (never
-  //    armed when ungated).
+  // 0. Retire the count of last cycle's arrivals; their slots already read
+  //    empty (a stale stamp), so nothing else has to touch the channels.
+  sp.items[static_cast<size_t>((now + 1) & 1)] = 0;
+
+  // 1. Wake-ups. A message arriving this cycle woke its receiver into the
+  //    next-cycle masks when it was sent, so merging them here wakes every
+  //    receiver before any component phase runs. Timed wake-ups re-arm
+  //    sources that promised a future fire cycle (never armed when
+  //    ungated).
+  if (gated) {
+    sp.router_awake |= sp.router_next;
+    sp.inject_awake |= sp.inject_next;
+    sp.eject_awake |= sp.eject_next;
+    sp.router_next = sp.inject_next = sp.eject_next = DestMask{};
+  }
   if (sp.next_timed_wake <= now) {
     sp.next_timed_wake = kCycleNever;
     for (NodeId i : sp.nodes) {
@@ -417,18 +406,6 @@ void Network::span_compute(int s, Cycle now) {
       }
     }
   }
-
-  // 1. Channels deliver; newly visible arrivals wake their receivers (this
-  //    runs before every component phase, so same-cycle consumption is
-  //    guaranteed). Gated, only channels holding messages are visited and
-  //    fully drained ones drop off the list -- their slots are all empty,
-  //    so skipping begin_cycle is safe (see Channel's activity contract).
-  //    Per-entry work is order-independent: begin_cycle touches only the
-  //    channel itself and wake bits are ORed.
-  if (gated)
-    sp.active.sweep([&](int id) { return begin_channel(id, now); });
-  else
-    for (int id : sp.channels) begin_channel(id, now);
 
   // 2. NIC injection halves, ascending node id. A NIC stays awake while it
   //    holds queued work or its source may fire next cycle; otherwise it
@@ -466,22 +443,6 @@ void Network::span_compute(int s, Cycle now) {
   });
 }
 
-bool Network::begin_channel(int id, Cycle now) {
-  if (id < credit_id_base_) {
-    auto& ch = flit_channels_[static_cast<size_t>(id)];
-    ch.begin_cycle(now);
-    return ch.stored() > 0;
-  }
-  if (id < la_id_base_) {
-    auto& ch = credit_channels_[static_cast<size_t>(id - credit_id_base_)];
-    ch.begin_cycle(now);
-    return ch.stored() > 0;
-  }
-  auto& ch = la_channels_[static_cast<size_t>(id - la_id_base_)];
-  ch.begin_cycle(now);
-  return ch.stored() > 0;
-}
-
 void Network::phase_thunk(void* ctx, int worker) {
   auto* c = static_cast<StepCtx*>(ctx);
   Network& net = *c->net;
@@ -493,10 +454,11 @@ void Network::phase_thunk(void* ctx, int worker) {
 }
 
 void Network::span_commit(int s, Cycle now) {
-  StepSpan& sp = spans_[static_cast<size_t>(s)];
-  for (auto* ch : sp.cross_flit) ch->commit_staged(now);
-  for (auto* ch : sp.cross_credit) ch->commit_staged(now);
-  for (auto* ch : sp.cross_la) ch->commit_staged(now);
+  const auto commit = [now](const auto& list) {
+    for (auto* ch : list) ch->commit_staged(now);
+  };
+  std::apply([&](const auto&... lists) { (commit(lists), ...); },
+             spans_[static_cast<size_t>(s)].cross);
 }
 
 // Span-order drain of each span's events in emission order. Within one
@@ -561,8 +523,20 @@ void Network::end_measurement_window(Cycle now) {
 
 int64_t Network::channel_items() const {
   int64_t total = 0;
-  for (const auto& sp : spans_) total += sp.items;
+  for (const auto& sp : spans_) total += sp.items[0] + sp.items[1];
   return total;
+}
+
+int Network::channel_owner(int i) const {
+  const auto nf = static_cast<int>(flit_channels_.size());
+  const auto nc = static_cast<int>(credit_channels_.size());
+  const int64_t* items =
+      i < nf        ? flit_channels_[static_cast<size_t>(i)].counter()
+      : i < nf + nc ? credit_channels_[static_cast<size_t>(i - nf)].counter()
+                    : la_channels_[static_cast<size_t>(i - nf - nc)].counter();
+  for (size_t s = 0; s < spans_.size(); ++s)
+    if (items == spans_[s].items.data()) return static_cast<int>(s);
+  return -1;
 }
 
 bool Network::quiescent() const {

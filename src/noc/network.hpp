@@ -2,20 +2,23 @@
 // Network: assembles the k x k mesh of routers and NICs (paper Fig 2) and
 // drives them in the per-cycle phase order required by the timing model:
 //
-//   1. all channels deliver this cycle's arrivals
-//   2. NIC injection halves tick (they raise latency-0 lookaheads that the
+//   1. NIC injection halves tick (they raise latency-0 lookaheads that the
 //      routers' mSA-II must see this same cycle)
-//   3. routers tick (credits -> ST/BW -> mSA-II -> mSA-I/VA)
-//   4. NIC ejection halves tick (drain flits the routers sent last cycle)
+//   2. routers tick (credits -> ST/BW -> mSA-II -> mSA-I/VA)
+//   3. NIC ejection halves tick (drain flits the routers sent last cycle)
+//
+// Channels need no phase of their own: a message is written into the slot
+// stamped with its arrival cycle when it is sent, and the receiver reads
+// that slot when its phase runs (sim/channel.hpp).
 //
 // There is one stepping loop. The mesh is split into contiguous column
 // spans (src/noc/partition.hpp); serial stepping is the one-span case. Each
-// span walks its own channels and awake masks: with activity gating (the
-// default) only components that can do work this cycle run, and wake edges
-// (message arrival, the latency-0 injection lookahead, source fire
-// predictions, external submissions) re-arm sleepers. Ungated stepping is
-// the same loop with every awake bit left set; it stays as the equivalence
-// oracle (tests/test_gating_equivalence.cpp, docs/PERF.md).
+// span walks its own awake masks: with activity gating (the default) only
+// components that can do work this cycle run, and wake edges (a send, which
+// wakes the receiver for the arrival cycle; source fire predictions;
+// external submissions) re-arm sleepers. Ungated stepping is the same loop
+// with every awake bit left set; it stays as the equivalence oracle
+// (tests/test_gating_equivalence.cpp, docs/PERF.md).
 //
 // With step_threads > 1 a persistent worker team runs the spans under a
 // two-phase barrier schedule: compute span-local state, barrier, commit
@@ -24,11 +27,12 @@
 // serial stepping for every pattern, workload, policy and gating mode
 // (docs/PERF.md Layer 4).
 
+#include <array>
 #include <memory>
-#include <utility>
+#include <tuple>
 #include <vector>
 
-#include "common/active_set.hpp"
+#include "common/wake_hook.hpp"
 #include "noc/energy_events.hpp"
 #include "noc/fault.hpp"
 #include "noc/metrics.hpp"
@@ -134,8 +138,8 @@ class Network : public Steppable {
   /// flight), tracked by an O(1) counter rather than a channel scan.
   bool quiescent() const;
 
-  /// Messages of any kind (flits, credits, lookaheads) currently inside
-  /// channels, including arrivals not yet recycled.
+  /// Messages of any kind (flits, credits, lookaheads) inside channels
+  /// after the last step: those arriving at that step's cycle or later.
   int64_t channel_items() const;
 
   // ---- parallel-stepping introspection (tests, docs/PERF.md Layer 4) ----
@@ -148,34 +152,37 @@ class Network : public Steppable {
     return static_cast<int>(flit_channels_.size() + credit_channels_.size() +
                             la_channels_.size());
   }
-  /// Channel ids owned by span `s` (owner = receiver's span).
-  const std::vector<int>& span_channel_ids(int s) const {
-    return spans_[static_cast<size_t>(s)].channels;
-  }
+  /// The span whose in-flight counters channel `i` (flit, credit, then
+  /// lookahead channels, in creation order) counts into -- its owner, the
+  /// receiver's span -- or -1 if it counts into none.
+  int channel_owner(int i) const;
   const std::vector<NodeId>& span_nodes(int s) const {
     return spans_[static_cast<size_t>(s)].nodes;
   }
   /// Deferred (cross-span) channels owned by span `s`.
   int span_cross_channel_count(int s) const {
-    const StepSpan& sp = spans_[static_cast<size_t>(s)];
-    return static_cast<int>(sp.cross_flit.size() + sp.cross_credit.size() +
-                            sp.cross_la.size());
+    return std::apply(
+        [](const auto&... lists) {
+          return static_cast<int>((lists.size() + ...));
+        },
+        spans_[static_cast<size_t>(s)].cross);
   }
 
  private:
   /// Everything one worker exclusively owns while stepping its column span:
-  /// its channels, activity machinery and, when there is more than one
-  /// span, the energy, metrics and trace-record shards the main thread
-  /// drains after each cycle. All scratch is sized at partition time
-  /// (zero-alloc invariant).
+  /// the counters and wake masks of the channels it receives on, its
+  /// activity machinery and, when there is more than one span, the energy,
+  /// metrics and trace-record shards the main thread drains after each
+  /// cycle. All scratch is sized at partition time (zero-alloc invariant).
   struct StepSpan {
     std::vector<NodeId> nodes;  // ascending id order
-    std::vector<int> channels;  // owned channel ids (receiver in span)
-    std::vector<Channel<Flit>*> cross_flit;  // deferred channels owned here
-    std::vector<Channel<Credit>*> cross_credit;
-    std::vector<Channel<Lookahead>*> cross_la;
-    ActiveList active;
-    int64_t items = 0;  // messages inside the owned channels
+    // Deferred (cross-span) channels owned here, committed after compute.
+    std::tuple<std::vector<FlitChannel*>, std::vector<CreditChannel*>,
+               std::vector<LookaheadChannel*>>
+        cross;
+    // Messages inside the owned channels by arrival-cycle parity: [t & 1]
+    // counts those arriving at cycle t. Cycle t retires cycle t - 1's.
+    std::array<int64_t, 2> items{};
     // One awake bit per owned node (DestMask: the same multi-word per-node
     // bitset the datapath uses). Gating sets bits on wake edges and clears
     // them when a component's post-tick state shows it cannot act next
@@ -183,6 +190,11 @@ class Network : public Steppable {
     DestMask router_awake;
     DestMask inject_awake;
     DestMask eject_awake;
+    // Wakes for messages arriving next cycle, fired when they are sent and
+    // merged into the awake masks at the top of the next cycle.
+    DestMask router_next;
+    DestMask inject_next;
+    DestMask eject_next;
     // Minimum of the span's inject_wake_at_ entries: one compare per cycle.
     Cycle next_timed_wake = kCycleNever;
     EnergyCounters energy;
@@ -196,8 +208,12 @@ class Network : public Steppable {
     void (Network::*phase)(int span, Cycle now);
   };
 
-  template <typename T>
-  Channel<T>* make_channel(std::vector<Channel<T>>& pool, int latency);
+  /// New channel from `from` to `to` in `pool`, owned by the receiver's
+  /// span: it counts into that span's items and, when the sender lives in
+  /// another span, is deferred onto the owner's commit list.
+  template <typename C>
+  C* make_channel(std::vector<C>& pool, int latency, NodeId from, NodeId to,
+                  const WakeHook& wake);
 
   StepSpan& span_of(NodeId node) {
     return spans_[static_cast<size_t>(part_.span_of_node(node))];
@@ -214,7 +230,6 @@ class Network : public Steppable {
   /// span merge so the cumulative counters are whole-network values).
   void sample_telemetry(Cycle now);
 
-  bool begin_channel(int id, Cycle now);
   void span_compute(int s, Cycle now);
   void span_commit(int s, Cycle now);
   void merge_spans();
@@ -228,19 +243,13 @@ class Network : public Steppable {
   FaultState fault_state_;
   std::unique_ptr<Telemetry> telemetry_;  // null unless telemetry.enabled
 
-  // Contiguous channel pools (docs/PERF.md Layer 5): the gated per-cycle
-  // sweep touches most channels at saturation, so keeping the Channel
-  // objects themselves in one array (instead of heap-scattered unique_ptrs)
-  // makes that walk cache-friendly. Capacity is reserved exactly in the
-  // constructor before wiring -- handed-out pointers stay stable.
-  std::vector<Channel<Flit>> flit_channels_;
-  std::vector<Channel<Credit>> credit_channels_;
-  std::vector<Channel<Lookahead>> la_channels_;
-  // (sender, receiver) node per channel, in pool order: span ownership and
-  // boundary classification are derived from these in setup_activity.
-  std::vector<std::pair<NodeId, NodeId>> flit_ep_;
-  std::vector<std::pair<NodeId, NodeId>> credit_ep_;
-  std::vector<std::pair<NodeId, NodeId>> la_ep_;
+  // Contiguous channel pools: the Channel objects, slots included, sit in
+  // one array per kind instead of heap-scattered unique_ptrs. Capacity is
+  // reserved exactly in the constructor before wiring -- handed-out
+  // pointers stay stable.
+  std::vector<FlitChannel> flit_channels_;
+  std::vector<CreditChannel> credit_channels_;
+  std::vector<LookaheadChannel> la_channels_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   std::vector<std::unique_ptr<Nic>> nics_;
@@ -252,10 +261,6 @@ class Network : public Steppable {
   int budget_lease_ = 0;            // extra threads leased from thread_budget
   Trace* trace_out_ = nullptr;      // record_trace target
 
-  // Channel ids are contiguous per pool (flit < credit < lookahead) so the
-  // sweep can recover the typed channel from the id without virtual calls.
-  int credit_id_base_ = 0;
-  int la_id_base_ = 0;
   // Timed injection wake-ups for sources that promise a future fire cycle
   // (identical-PRBS intervals, trace records, closed-loop response due
   // times); each entry is written only by its node's span.

@@ -159,7 +159,7 @@ void Nic::send_flit(MsgClass mc, Cycle now) {
 void Nic::tick_inject(Cycle now) {
   // Apply credits from the router's Local input port.
   if (ch_.credit_from_router != nullptr) {
-    for (const Credit& c : ch_.credit_from_router->arrivals()) {
+    for (const Credit& c : ch_.credit_from_router->arrivals(now)) {
       ds_.return_credit(c.vc);
       if (c.vc_free) ds_.release_vc(c.vc);
     }
@@ -184,7 +184,7 @@ void Nic::tick_inject(Cycle now) {
 void Nic::tick_eject(Cycle now) {
   // Accept arrivals from the router's Local output.
   if (ch_.flit_from_router != nullptr) {
-    const auto& arrivals = ch_.flit_from_router->arrivals();
+    const auto arrivals = ch_.flit_from_router->arrivals(now);
     NOC_ASSERT(arrivals.size() <= 1);
     for (const Flit& f : arrivals) {
       NOC_ASSERT(f.vc >= 0 &&
@@ -203,7 +203,8 @@ void Nic::tick_eject(Cycle now) {
   const int v = rx_rr_.arbitrate(occupied);
   Flit f = rx_vcs_[static_cast<size_t>(v)].pop_front();
   if (ch_.credit_to_router != nullptr)
-    ch_.credit_to_router->send(now, Credit{v, is_tail(f.type)});
+    ch_.credit_to_router->send(now,
+                               Credit{static_cast<int8_t>(v), is_tail(f.type)});
   if (telemetry_ != nullptr && is_tail(f.type) &&
       telemetry_->tracing(f.logical_id))
     telemetry_->trace(TraceEventType::Eject, now, f.logical_id, node_);

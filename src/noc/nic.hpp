@@ -39,11 +39,11 @@ struct Trace;  // noc/workload.hpp
 class Nic {
  public:
   struct Channels {
-    Channel<Flit>* flit_to_router = nullptr;    // latency 1
-    Channel<Lookahead>* la_to_router = nullptr; // latency 0 (Proposed only)
-    Channel<Credit>* credit_from_router = nullptr;
-    Channel<Flit>* flit_from_router = nullptr;
-    Channel<Credit>* credit_to_router = nullptr;
+    FlitChannel* flit_to_router = nullptr;    // latency 1
+    LookaheadChannel* la_to_router = nullptr; // latency 0 (Proposed only)
+    CreditChannel* credit_from_router = nullptr;
+    FlitChannel* flit_from_router = nullptr;
+    CreditChannel* credit_to_router = nullptr;
   };
 
   /// `source` must outlive the NIC (the Network owns both).

@@ -10,13 +10,13 @@
 //
 // Why columns are the right cut: every within-cycle wake edge in the
 // simulator is intra-node (the latency-0 NIC->router lookahead), and every
-// cross-node interaction travels a latency-1 channel, becoming visible only
-// at the next cycle's begin_cycle. North/South channels stay inside a
-// column, so the only channels whose endpoints can land in different spans
-// are the East/West pairs crossing a span boundary -- those become the
-// deferred (double-buffered) synchronization edges of the two-phase barrier
-// schedule in Network::step. crosses() is the exact classification the
-// Network uses to mark them.
+// cross-node interaction travels a latency-1 channel, whose slot is stamped
+// with the next cycle and reads empty until then. North/South channels stay
+// inside a column, so the only channels whose endpoints can land in
+// different spans are the East/West pairs crossing a span boundary -- those
+// become the deferred (double-buffered) synchronization edges of the
+// two-phase barrier schedule in Network::step. crosses() is the exact
+// classification the Network uses to mark them.
 //
 // Fault schedules commute with this decomposition (docs/FAULTS.md): the
 // Network applies every FaultPlan event -- and the resulting escape-tree

@@ -77,12 +77,18 @@ void Router::tick(Cycle now) {
   // tests pin the bit-identity (tests/test_gating_equivalence.cpp).
   PortMask active = PortMask::first_n(kNumPorts);
   if (port_wake_armed_) {
+    // Every wake for this cycle's arrivals fired before the router pass
+    // (sends of the previous cycle, and latency-0 NIC lookaheads during
+    // injection), so the word is complete and can be retired now. Sends of
+    // this cycle land in the other word.
+    uint64_t& word = wake_port_words_[static_cast<size_t>(now & 1)];
+    arrived_ = word;
+    word = 0;
+    // One bit per port: the OR of the flit, credit and lookahead bytes.
+    const uint64_t ports = (arrived_ | arrived_ >> 8 | arrived_ >> 16) &
+                           ((uint64_t{1} << kNumPorts) - 1);
     active = internal_work_ports();
-    active |= wake_ports_;
-    // All wakes for this cycle fired before the router pass (channel sweep
-    // and latency-0 NIC lookaheads during injection), so the snapshot is
-    // complete and the bits can be retired now.
-    wake_ports_.clear_all();
+    active |= PortMask(ports);
   }
   apply_credits(now, active);
   phase_st_and_bw(now, active);
@@ -101,12 +107,13 @@ void Router::tick(Cycle now) {
   energy_.vc_active_cycles += busy_.count();
 }
 
-void Router::apply_credits(Cycle, const PortMask& active) {
+void Router::apply_credits(Cycle now, const PortMask& active) {
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
     if (!active.test(p)) continue;
     if (!ip.connected || ip.ch.credit_in == nullptr) continue;
-    for (const Credit& c : ip.ch.credit_in->arrivals()) {
+    if (!arrived(Arrival::Credit, p)) continue;
+    for (const Credit& c : ip.ch.credit_in->arrivals(now)) {
       auto& ds = out_[static_cast<size_t>(p)].ds;
       ds.return_credit(c.vc);
       if (c.vc_free) ds.release_vc(c.vc);
@@ -301,7 +308,7 @@ void Router::send_lookahead(Cycle now, const Flit& f, const GrantOut& go) {
 void Router::send_credit_upstream(Cycle now, int port, int vc, bool vc_free) {
   auto* ch = in_[static_cast<size_t>(port)].ch.credit_out;
   NOC_ASSERT(ch != nullptr);
-  ch->send(now, Credit{vc, vc_free});
+  ch->send(now, Credit{static_cast<int8_t>(vc), vc_free});
 }
 
 int Router::serviceable_seq(const InputVc& ivc) const {
@@ -389,7 +396,9 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
     auto& ip = in_[static_cast<size_t>(p)];
     if (!active.test(p)) continue;
     if (!ip.connected || ip.ch.flit_in == nullptr) continue;
-    const auto& arrivals = ip.ch.flit_in->arrivals();
+    const auto arrivals = arrived(Arrival::Flit, p)
+                              ? ip.ch.flit_in->arrivals(now)
+                              : std::span<const Flit>{};
     NOC_ASSERT(arrivals.size() <= 1);  // one flit per link per cycle
     if (arrivals.empty()) {
       NOC_ASSERT(!ip.bypass.valid);  // a lookahead always precedes its flit
@@ -468,7 +477,8 @@ void Router::process_lookaheads(Cycle now, const PortMask& active,
     // among ports that DO is unchanged, so arbitration is unaffected.
     if (!active.test(p)) continue;
     if (!ip.connected || ip.ch.la_in == nullptr) continue;
-    for (const Lookahead& la : ip.ch.la_in->arrivals()) {
+    if (!arrived(Arrival::Lookahead, p)) continue;
+    for (const Lookahead& la : ip.ch.la_in->arrivals(now)) {
       NOC_ASSERT(la.in_port == p);
       ++energy_.sa2_arbitrations;
       auto& ivc = ip.vcs[static_cast<size_t>(la.flit.vc)];

@@ -87,16 +87,25 @@ struct Lookahead {
   Flit flit;        // the flit that will arrive next cycle (vc/branch_mask set)
 };
 
+/// Link channels. A link carries at most one flit and one lookahead per
+/// cycle. An input port returns at most one credit per VC per cycle: each
+/// branch of a VC's packet advances at most one flit per cycle (through ST,
+/// a bypass or a fault-mode drop), so the FIFO front pops at most once, and
+/// a bypassed flit never entered a FIFO.
+using FlitChannel = Channel<Flit, 1>;
+using LookaheadChannel = Channel<Lookahead, 1>;
+using CreditChannel = Channel<Credit, kMaxTotalVcs>;
+
 class Router {
  public:
   /// External wiring for one port, owned by the Network.
   struct PortChannels {
-    Channel<Flit>* flit_in = nullptr;
-    Channel<Flit>* flit_out = nullptr;
-    Channel<Credit>* credit_in = nullptr;   // credits from downstream
-    Channel<Credit>* credit_out = nullptr;  // credits to upstream
-    Channel<Lookahead>* la_in = nullptr;
-    Channel<Lookahead>* la_out = nullptr;
+    FlitChannel* flit_in = nullptr;
+    FlitChannel* flit_out = nullptr;
+    CreditChannel* credit_in = nullptr;   // credits from downstream
+    CreditChannel* credit_out = nullptr;  // credits to upstream
+    LookaheadChannel* la_in = nullptr;
+    LookaheadChannel* la_out = nullptr;
   };
 
   Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
@@ -114,13 +123,21 @@ class Router {
   /// True when no flit is buffered or latched anywhere in this router.
   bool idle() const;
 
+  /// The input channel kinds a port-wake bit can stand for.
+  enum class Arrival { Flit = 0, Credit = 1, Lookahead = 2 };
+  /// Port-wake bit for an arrival of kind `k` at input port `in_port`: one
+  /// byte per kind, one bit per port.
+  static uint64_t arrival_bit(Arrival k, PortDir in_port) {
+    return uint64_t{1} << (8 * static_cast<int>(k) + port_index(in_port));
+  }
+
   /// Arm per-port wake gating (RouterConfig::port_gating under a gated
-  /// network) and return the word the port-wake channel hooks OR their
-  /// arriving port's bit into (WakeHook::port_word). kNumPorts < 64, so
-  /// word 0 holds the whole mask.
+  /// network) and return the pair of words the channel hooks OR their
+  /// arrival_bit into, indexed by arrival-cycle parity
+  /// (WakeHook::port_words).
   uint64_t* arm_port_wake() {
     port_wake_armed_ = true;
-    return wake_ports_.word_ptr(0);
+    return wake_port_words_.data();
   }
 
   /// Attach the network's fault-schedule state (docs/FAULTS.md). Called
@@ -306,11 +323,19 @@ class Router {
   /// walk, idle(), and the mSA-I scan are word ops over this instead of
   /// 5x16 InputVc object walks.
   VcSetMask busy_;
-  /// Per-port wake bits (word 0 is the channel hooks' target): which ports
-  /// had a flit/credit/lookahead delivery this cycle. Snapshot-and-cleared
-  /// at the top of tick(); only meaningful when armed.
-  PortMask wake_ports_;
+  /// Port-wake bits by arrival-cycle parity: word [t & 1] holds the
+  /// arrival_bit of every input channel a message arrives on at cycle t.
+  /// Senders set them at send time, up to a cycle ahead; tick(now) moves
+  /// word [now & 1] into arrived_ and clears it. Only meaningful when armed.
+  std::array<uint64_t, 2> wake_port_words_{};
+  /// This tick's arrival bits: a channel whose bit is clear has nothing to
+  /// read. All set when port wakes are not armed, so every channel is read.
+  uint64_t arrived_ = ~uint64_t{0};
   bool port_wake_armed_ = false;
+
+  bool arrived(Arrival k, int port) const {
+    return ((arrived_ >> (8 * static_cast<int>(k) + port)) & 1) != 0;
+  }
 
   /// Persistent per-tick allocation scratch. Constructing a GrantList runs
   /// five GrantOut constructors (each zeroing a multi-word DestMask), which

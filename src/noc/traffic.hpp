@@ -29,7 +29,7 @@
 #include <optional>
 #include <string_view>
 
-#include "common/active_set.hpp"
+#include "common/wake_hook.hpp"
 #include "common/rng.hpp"
 #include "noc/geometry.hpp"
 #include "noc/packet.hpp"

@@ -128,14 +128,6 @@ TEST(BitMask, ExtractWithinAndAcrossWords) {
   EXPECT_EQ(m.extract(76, 4), 0b1000u);
 }
 
-TEST(BitMask, WordPtrAliasesStorage) {
-  // The WakeHook contract: ORing into word_ptr(0) is the same as set().
-  BitMask<5> m;
-  *m.word_ptr(0) |= uint64_t{1} << 3;
-  EXPECT_TRUE(m.test(3));
-  EXPECT_EQ(m, BitMask<5>::bit(3));
-}
-
 // Randomized incremental-vs-recompute cross-check: a BitMask driven by a
 // long random set/clear sequence must match a std::bitset shadow (and every
 // derived query) at each step, including the multi-word width.

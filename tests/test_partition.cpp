@@ -90,11 +90,21 @@ TEST(SpanPartition, ClampSpans) {
   EXPECT_EQ(SpanPartition::clamp_spans(geom, 99), 6);  // one per column max
 }
 
+// Mesh neighbours of `node` (2 to 4).
+int degree(const MeshGeometry& geom, NodeId node) {
+  const Coord c = geom.coord(node);
+  int d = 0;
+  for (const Coord n : {Coord{c.x + 1, c.y}, Coord{c.x - 1, c.y},
+                        Coord{c.x, c.y + 1}, Coord{c.x, c.y - 1}})
+    d += geom.valid(n) ? 1 : 0;
+  return d;
+}
+
 // The Network-level ownership invariant: with step_threads > 1 every
-// channel id appears on exactly one span's owned list, and the deferred
-// (cross-span) subset is exactly 6 channels per boundary-crossing adjacent
-// router pair (flit + credit + lookahead, both directions) -- NIC and
-// North/South channels never cross.
+// channel counts its in-flight messages into exactly one span -- the span
+// of its receiver -- and the deferred (cross-span) subset is exactly 6
+// channels per boundary-crossing adjacent router pair (flit + credit +
+// lookahead, both directions) -- NIC and North/South channels never cross.
 TEST(NetworkPartition, EveryChannelOwnedExactlyOnceAndBoundariesExact) {
   struct Case {
     int k, ky, step_threads;
@@ -110,23 +120,29 @@ TEST(NetworkPartition, EveryChannelOwnedExactlyOnceAndBoundariesExact) {
     const int spans = net.num_step_spans();
     ASSERT_GT(spans, 1);
 
-    std::vector<int> owners(static_cast<size_t>(net.num_channels()), 0);
+    // A channel's owner is the one span whose counter pair it points at.
+    std::vector<int> owned(static_cast<size_t>(spans), 0);
+    for (int i = 0; i < net.num_channels(); ++i) {
+      const int s = net.channel_owner(i);
+      ASSERT_GE(s, 0) << "channel " << i << " is owned by no span";
+      ASSERT_LT(s, spans);
+      ++owned[static_cast<size_t>(s)];
+    }
     std::set<NodeId> nodes_seen;
     int cross_total = 0;
     for (int s = 0; s < spans; ++s) {
-      for (int id : net.span_channel_ids(s)) {
-        ASSERT_GE(id, 0);
-        ASSERT_LT(id, net.num_channels());
-        ++owners[static_cast<size_t>(id)];
-      }
+      // Every channel a span's nodes receive on, and no other: five per
+      // node from its own NIC link (flit and credit both ways, plus the
+      // injection lookahead) and three per incoming mesh link.
+      int receives = 0;
       for (NodeId node : net.span_nodes(s)) {
         EXPECT_TRUE(nodes_seen.insert(node).second)
             << "node " << node << " in two spans";
+        receives += 5 + 3 * degree(net.geom(), node);
       }
+      EXPECT_EQ(owned[static_cast<size_t>(s)], receives) << "span " << s;
       cross_total += net.span_cross_channel_count(s);
     }
-    for (size_t id = 0; id < owners.size(); ++id)
-      EXPECT_EQ(owners[id], 1) << "channel " << id;
     EXPECT_EQ(static_cast<int>(nodes_seen.size()), net.geom().num_nodes());
 
     // Exact boundary census: each crossing E/W adjacency contributes 2
@@ -146,8 +162,8 @@ TEST(NetworkPartition, SingleSpanIsSerial) {
   EXPECT_EQ(net.step_workers(), 1);
   EXPECT_EQ(static_cast<int>(net.span_nodes(0).size()),
             net.geom().num_nodes());
-  EXPECT_EQ(static_cast<int>(net.span_channel_ids(0).size()),
-            net.num_channels());
+  for (int i = 0; i < net.num_channels(); ++i)
+    EXPECT_EQ(net.channel_owner(i), 0) << "channel " << i;
   EXPECT_EQ(net.span_cross_channel_count(0), 0);
 }
 

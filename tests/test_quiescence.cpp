@@ -3,7 +3,14 @@
 // implementation ignored (it scanned flit channels only). A drain phase that
 // ends with a credit in flight hands the next measurement window a network
 // whose flow-control state is still settling.
+//
+// Every case runs with activity gating on and off, serial and on two column
+// spans: the in-flight count is kept per span, so the drain timing must not
+// depend on either axis.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "noc/network.hpp"
 #include "sim/simulation.hpp"
@@ -11,26 +18,37 @@
 namespace noc {
 namespace {
 
-NetworkConfig silent_config(bool gating) {
+struct StepMode {
+  bool gating;
+  int step_threads;
+};
+
+NetworkConfig silent_config(const StepMode& mode) {
   NetworkConfig cfg = NetworkConfig::proposed(4);
-  cfg.activity_gating = gating;
+  cfg.activity_gating = mode.gating;
+  cfg.step_threads = mode.step_threads;
   cfg.traffic.offered_flits_per_node_cycle = 0.0;  // packets injected by hand
   return cfg;
 }
 
-Packet single_flit_packet(NodeId src, NodeId dest, Cycle now) {
+Packet make_packet(NodeId src, NodeId dest, MsgClass mc, int length,
+                   Cycle now) {
   uint64_t local_id = 0;
   Packet pkt;
   pkt.id = make_packet_id(src, local_id);
   pkt.src = src;
   pkt.dest_mask = MeshGeometry::node_mask(dest);
-  pkt.mc = MsgClass::Request;
-  pkt.length = 1;
+  pkt.mc = mc;
+  pkt.length = length;
   pkt.gen_cycle = now;
   return pkt;
 }
 
-class QuiescenceTest : public ::testing::TestWithParam<bool> {};
+Packet single_flit_packet(NodeId src, NodeId dest, Cycle now) {
+  return make_packet(src, dest, MsgClass::Request, 1, now);
+}
+
+class QuiescenceTest : public ::testing::TestWithParam<StepMode> {};
 
 TEST_P(QuiescenceTest, CreditInFlightBlocksQuiescence) {
   Network net(silent_config(GetParam()));
@@ -50,7 +68,7 @@ TEST_P(QuiescenceTest, CreditInFlightBlocksQuiescence) {
   EXPECT_GT(net.channel_items(), 0);  // the parked credit
   EXPECT_FALSE(net.quiescent());
 
-  // Once the credits land and recycle, quiescence must follow -- and only
+  // Once the credits land and retire, quiescence must follow -- and only
   // with an empty channel counter.
   ASSERT_TRUE(sim.run_until([&] { return net.quiescent(); }, 100));
   EXPECT_EQ(net.channel_items(), 0);
@@ -70,8 +88,39 @@ TEST_P(QuiescenceTest, DrainOutlastsTheLastDelivery) {
   EXPECT_GT(sim.now(), delivered_at);
 }
 
-INSTANTIATE_TEST_SUITE_P(GatedAndFull, QuiescenceTest,
-                         ::testing::Values(true, false));
+TEST_P(QuiescenceTest, DrainTimingIsPinned) {
+  // A 5-flit response three hops east, 4 -> 7, across the column-span
+  // boundary of the two-span runs. The delivery cycle, the cycle quiescence
+  // first holds, and the in-flight message count after every cycle are
+  // pinned exactly: a channel rewrite must retire each message at the same
+  // cycle as before, in every step mode.
+  Network net(silent_config(GetParam()));
+  Simulation sim(net);
+  net.nic(4).submit_packet(make_packet(4, 7, MsgClass::Response, 5, 0));
+  std::vector<int64_t> items;
+  Cycle delivered_at = -1;
+  while (!net.quiescent() && sim.now() < 100) {
+    sim.run(1);
+    items.push_back(net.channel_items());
+    if (delivered_at < 0 && net.metrics().total_completed() == 1)
+      delivered_at = sim.now();
+  }
+  // Values recorded before the channel layer used cycle-stamped slots; they
+  // are the same in all four step modes.
+  EXPECT_EQ(delivered_at, 10);
+  EXPECT_EQ(sim.now(), 12);  // first quiescent after 12 steps
+  const std::vector<int64_t> expected{3, 8, 14, 19, 23, 23, 19, 13, 8, 4, 1, 0};
+  EXPECT_EQ(items, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GatingAndSpans, QuiescenceTest,
+    ::testing::Values(StepMode{true, 1}, StepMode{false, 1},
+                      StepMode{true, 2}, StepMode{false, 2}),
+    [](const ::testing::TestParamInfo<StepMode>& info) {
+      return std::string(info.param.gating ? "Gated" : "Full") + "Threads" +
+             std::to_string(info.param.step_threads);
+    });
 
 }  // namespace
 }  // namespace noc

@@ -94,9 +94,9 @@ TEST(ZeroAlloc, BaselineRouterWithNicDuplication) {
 
 TEST(ZeroAlloc, GatedIdenticalPrbsSleepWake) {
   // Sparse identical-PRBS traffic drives the activity machinery hardest:
-  // NICs park on timed wake-ups between synchronized bursts, channels churn
-  // on and off the active list, routers sleep between waves. None of that
-  // bookkeeping may touch the heap.
+  // NICs park on timed wake-ups between synchronized bursts, channel slots
+  // are reused for later arrival cycles, routers sleep between waves. None
+  // of that bookkeeping may touch the heap.
   NetworkConfig cfg = NetworkConfig::proposed(4);
   cfg.traffic.pattern = TrafficPattern::MixedPaper;
   cfg.traffic.identical_prbs = true;
@@ -206,7 +206,7 @@ TEST(ZeroAlloc, LargeK12ClosedLoopSteadyState) {
 
 TEST(ZeroAlloc, ParallelSteppingSteadyState) {
   // Intra-network parallel stepping (docs/PERF.md Layer 4): per-span
-  // scratch (active lists, masks, staging buffers, capture shards) is
+  // scratch (masks, staging buffers, capture shards) is
   // preallocated at partition time or grown during warmup; the steady-state
   // barrier loop itself must never touch the heap. Force a real budget so
   // the threaded schedule actually runs even on small CI hosts.
