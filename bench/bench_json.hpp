@@ -1,14 +1,16 @@
 #pragma once
 // Shared helper for binaries that append custom rows into BENCH_perf.json
 // (google-benchmark's JSON schema, the file bench_perf_microbench writes):
-// closed_loop_latency, large_k_scaling, the fig table benches and the
-// campaign gather step all feed the cross-PR perf tracker through this.
-// Header-only on purpose -- bench/ binaries link only noc_core.
+// closed_loop_latency, large_k_scaling and the fig5/fig13 benches feed the
+// cross-PR perf tracker through this. Rows are formatted by the repo's one
+// JSON writer (common/json.hpp). Header-only on purpose -- bench/ binaries
+// link only noc_core.
 
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/json.hpp"
 
 namespace noc::benchjson {
 
@@ -34,64 +36,40 @@ struct Entry {
   }
 };
 
-inline std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return {};
-  std::string s;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) s.append(buf, n);
-  std::fclose(f);
-  return s;
-}
-
-inline std::string format_entries(const std::vector<Entry>& entries) {
-  std::string out;
-  char line[320];
-  for (size_t i = 0; i < entries.size(); ++i) {
-    std::snprintf(line, sizeof line,
-                  "    {\n"
-                  "      \"name\": \"%s\",\n"
-                  "      \"run_type\": \"iteration\",\n"
-                  "      \"items_per_second\": %.6e",
-                  entries[i].name.c_str(), entries[i].items_per_second);
-    out += line;
-    for (const auto& [key, value] : entries[i].extras) {
-      std::snprintf(line, sizeof line, ",\n      \"%s\": %.6f", key.c_str(),
-                    value);
-      out += line;
-    }
-    out += "\n    }";
-    out += i + 1 < entries.size() ? ",\n" : "\n";
-  }
-  return out;
-}
-
 /// Append entries into the existing file's "benchmarks" array (the array is
 /// the last bracketed region in google-benchmark's output), or create a
-/// minimal file when absent/unparseable.
+/// minimal file when absent/unparseable. The rows are written as a fresh
+/// document, whose array elements are spliced in before the existing
+/// array's closing bracket.
 inline bool append_entries(const std::string& path,
                            const std::vector<Entry>& entries) {
-  std::string body = read_file(path);
-  const size_t close = body.rfind(']');
-  std::string out;
-  if (close == std::string::npos) {
-    out = "{\n  \"context\": {},\n  \"benchmarks\": [\n" +
-          format_entries(entries) + "  ]\n}\n";
-  } else {
-    // Comma only if the array already holds an entry.
-    size_t prev = close;
-    while (prev > 0 && (body[prev - 1] == ' ' || body[prev - 1] == '\n' ||
-                        body[prev - 1] == '\t' || body[prev - 1] == '\r'))
-      --prev;
-    const bool empty_array = prev > 0 && body[prev - 1] == '[';
-    out = body.substr(0, close) + (empty_array ? "\n" : ",\n") +
-          format_entries(entries) + body.substr(close);
+  json::Writer w;
+  w.begin_object().key("context").begin_object().end_object();
+  w.key("benchmarks").begin_array();
+  for (const Entry& e : entries) {
+    w.begin_object()
+        .field("name", e.name)
+        .field("run_type", "iteration")
+        .field("items_per_second", e.items_per_second);
+    for (const auto& [key, value] : e.extras) w.field(key, value);
+    w.end_object();
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(out.data(), 1, out.size(), f);
-  return std::fclose(f) == 0;
+  w.end_array().end_object();
+  const std::string body = json::read_file(path);
+  const size_t close = body.rfind(']');
+  if (close == std::string::npos) return json::write_file(path, w.str());
+  if (entries.empty()) return true;
+  // The fresh array's elements: from its '[' to the newline before its ']'.
+  const std::string& fresh = w.str();
+  const size_t open = fresh.find('[') + 1;
+  const std::string rows =
+      fresh.substr(open, fresh.rfind('\n', fresh.rfind(']')) - open);
+  // Comma only if the array already holds an entry.
+  const size_t last = body.find_last_not_of(" \t\r\n", close - 1);
+  const bool empty_array = last == std::string::npos || body[last] == '[';
+  return json::write_file(path, body.substr(0, last + 1) +
+                                    (empty_array ? "" : ",") + rows +
+                                    body.substr(last + 1));
 }
 
 }  // namespace noc::benchjson

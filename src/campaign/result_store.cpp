@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "common/json.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace noc::campaign {
@@ -34,17 +35,6 @@ std::string ResultStore::trace_path(const std::string& hash) const {
 }
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return {};
-  std::string s;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) s.append(buf, n);
-  std::fclose(f);
-  return s;
-}
 
 // Records are self-written with a fixed serialization (below), so the
 // "parser" is a pair of key scanners, not a JSON library. Anything that
@@ -83,60 +73,35 @@ bool ResultStore::ensure_dirs() const {
 }
 
 std::string ResultStore::serialize_record(const CampaignRecord& rec) {
-  std::string out;
-  out.reserve(1024);
-  char line[192];
-  std::snprintf(line, sizeof line,
-                "{\n"
-                "  \"schema\": %d,\n"
-                "  \"campaign\": \"%s\",\n"
-                "  \"point\": \"%s\",\n"
-                "  \"kind\": \"%s\",\n"
-                "  \"hash\": \"%s\",\n"
-                "  \"status\": \"complete\",\n",
-                rec.schema, rec.campaign.c_str(), rec.point_id.c_str(),
-                rec.kind.c_str(), rec.hash.c_str());
-  out += line;
-  std::snprintf(line, sizeof line,
-                "  \"host\": {\n"
-                "    \"hardware_concurrency\": %u,\n"
-                "    \"thread_budget\": %d\n"
-                "  },\n"
-                "  \"report\": {\n",
-                rec.host.hardware_concurrency, rec.host.thread_budget);
-  out += line;
-  for (size_t i = 0; i < rec.report.size(); ++i) {
-    std::snprintf(line, sizeof line, "    \"%s\": %.17g%s\n",
-                  rec.report[i].first.c_str(), rec.report[i].second,
-                  i + 1 < rec.report.size() ? "," : "");
-    out += line;
-  }
-  out += "  }\n}\n";
-  return out;
+  json::Writer w;
+  w.begin_object()
+      .field("schema", rec.schema)
+      .field("campaign", rec.campaign)
+      .field("point", rec.point_id)
+      .field("kind", rec.kind)
+      .field("hash", rec.hash)
+      .field("status", "complete")
+      .key("host")
+      .begin_object()
+      .field("hardware_concurrency", rec.host.hardware_concurrency)
+      .field("thread_budget", rec.host.thread_budget)
+      .end_object()
+      .key("report")
+      .begin_object();
+  for (const auto& [name, value] : rec.report) w.field(name, value);
+  w.end_object().end_object();
+  return w.str();
 }
 
 bool ResultStore::save_record(const CampaignRecord& rec) const {
-  const std::string path = record_path(rec.point_id, rec.hash);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string body = serialize_record(rec);
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  if (std::fclose(f) != 0 || !ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return json::write_file(record_path(rec.point_id, rec.hash),
+                          serialize_record(rec));
 }
 
 bool ResultStore::load_record(const std::string& point_id,
                               const std::string& hash,
                               CampaignRecord* out) const {
-  const std::string body = read_file(record_path(point_id, hash));
+  const std::string body = json::read_file(record_path(point_id, hash));
   if (body.empty()) return false;
   CampaignRecord rec;
   double schema = 0;
@@ -208,20 +173,16 @@ GatherResult gather_campaign(const Manifest& m, const ResultStore& store,
   GatherResult g;
   const auto resolved = resolve_manifest(m, &g.error);
   if (resolved.empty()) return g;
-  std::string out;
-  out.reserve(4096);
-  char line[192];
-  std::snprintf(line, sizeof line,
-                "{\n"
-                "  \"context\": {\n"
-                "    \"campaign\": \"%s\",\n"
-                "    \"schema\": %d,\n"
-                "    \"points\": %zu\n"
-                "  },\n"
-                "  \"benchmarks\": [\n",
-                m.name.c_str(), kCampaignSchemaVersion, resolved.size());
-  out += line;
-  bool first = true;
+  json::Writer w;
+  w.begin_object()
+      .key("context")
+      .begin_object()
+      .field("campaign", m.name)
+      .field("schema", kCampaignSchemaVersion)
+      .field("points", resolved.size())
+      .end_object()
+      .key("benchmarks")
+      .begin_array();
   for (const ResolvedPoint& r : resolved) {
     CampaignRecord rec;
     if (!store.load_record(r.point->id, r.hash, &rec)) {
@@ -229,29 +190,16 @@ GatherResult gather_campaign(const Manifest& m, const ResultStore& store,
       continue;
     }
     ++g.complete;
-    if (!first) out += ",\n";
-    first = false;
-    std::snprintf(line, sizeof line,
-                  "    {\n"
-                  "      \"name\": \"%s/%s\",\n"
-                  "      \"run_type\": \"iteration\",\n"
-                  "      \"hash\": \"%s\",\n"
-                  "      \"kind\": \"%s\"",
-                  m.name.c_str(), r.point->id.c_str(), rec.hash.c_str(),
-                  rec.kind.c_str());
-    out += line;
-    for (const auto& [key, value] : rec.report) {
-      std::snprintf(line, sizeof line, ",\n      \"%s\": %.17g", key.c_str(),
-                    value);
-      out += line;
-    }
-    out += "\n    }";
+    w.begin_object()
+        .field("name", m.name + "/" + r.point->id)
+        .field("run_type", "iteration")
+        .field("hash", rec.hash)
+        .field("kind", rec.kind);
+    for (const auto& [key, value] : rec.report) w.field(key, value);
+    w.end_object();
   }
-  out += "\n  ]\n}\n";
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) return g;
-  g.wrote = std::fwrite(out.data(), 1, out.size(), f) == out.size() &&
-            std::fclose(f) == 0;
+  w.end_array().end_object();
+  g.wrote = json::write_file(out_path, w.str());
   return g;
 }
 

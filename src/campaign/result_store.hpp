@@ -9,9 +9,9 @@
 // The HASH in the filename is the point's content hash (manifest.hpp): a
 // record is valid for exactly one resolved configuration, so "is this point
 // done?" is a filename probe plus a validating parse -- that is the whole
-// crash-resume story. Records are written atomically (tmp + rename): a
-// campaign killed mid-write leaves at worst a *.tmp file the next run
-// ignores, never a half-record that parses.
+// crash-resume story. Records are written atomically (json::write_file,
+// tmp + rename): a campaign killed mid-write leaves at worst a *.tmp file
+// the next run ignores, never a half-record that parses.
 //
 // Records are deliberately timestamp-free: the same point run serially,
 // in parallel, or across a kill/resume must produce BIT-IDENTICAL record

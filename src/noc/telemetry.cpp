@@ -1,7 +1,10 @@
 #include "noc/telemetry.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+
+#include "common/json.hpp"
 
 namespace noc {
 
@@ -51,140 +54,94 @@ void Telemetry::record_fault(Cycle now, FaultKind kind, NodeId a, NodeId b) {
 
 namespace {
 
-/// Comma-separated emission: JSON forbids trailing commas, so the writer
-/// prefixes every element after the first.
-struct JsonList {
-  std::FILE* f;
-  bool first = true;
-  void sep() {
-    if (!first) std::fputs(",\n", f);
-    first = false;
-  }
-};
+// Trace-event ids are hex strings ("0x1f"; hop slices "0x1f.<router>").
+std::string hex_id(PacketId id) {
+  char buf[2 + 16] = {'0', 'x'};
+  const auto r = std::to_chars(buf + 2, buf + sizeof buf, id, 16);
+  return std::string(buf, r.ptr);
+}
 
 }  // namespace
 
 bool Telemetry::write_perfetto_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n", f);
-  JsonList out{f};
-
-  out.sep();
-  std::fputs(
-      "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"noc\"}}",
-      f);
-  for (int n = 0; n < num_nodes_; ++n) {
-    out.sep();
-    std::fprintf(f,
-                 "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\","
-                 "\"args\":{\"name\":\"router %d\"}}",
-                 n, n);
-  }
+  json::Writer w;
+  w.begin_object().field("displayTimeUnit", "ns");
+  w.key("traceEvents").begin_array();
+  // Track names: the process, then one thread per router.
+  const auto name_track = [&w](const char* what, int tid,
+                               const std::string& name) {
+    w.begin_object().field("ph", "M").field("pid", 0).field("tid", tid);
+    w.field("name", what).key("args").begin_object().field("name", name);
+    w.end_object().end_object();
+  };
+  name_track("process_name", 0, "noc");
+  for (int n = 0; n < num_nodes_; ++n)
+    name_track("thread_name", n, std::string("router ") + std::to_string(n));
 
   for (const TraceEvent& e : events_) {
-    out.sep();
-    const auto ts = static_cast<unsigned long long>(e.ts);
-    const auto id = static_cast<unsigned long long>(e.id);
+    const bool begin = e.type == TraceEventType::PacketBegin ||
+                       e.type == TraceEventType::HopBegin;
+    w.begin_object();
     switch (e.type) {
       case TraceEventType::PacketBegin:
       case TraceEventType::PacketEnd:
-        std::fprintf(f,
-                     "{\"ph\":\"%s\",\"cat\":\"pkt\",\"id\":\"0x%llx\","
-                     "\"name\":\"pkt %llu\",\"pid\":0,\"tid\":%d,"
-                     "\"ts\":%llu}",
-                     e.type == TraceEventType::PacketBegin ? "b" : "e", id,
-                     id, e.node, ts);
+        w.field("ph", begin ? "b" : "e").field("cat", "pkt");
+        w.field("id", hex_id(e.id));
+        w.field("name", std::string("pkt ") + std::to_string(e.id));
         break;
       case TraceEventType::HopBegin:
-      case TraceEventType::HopEnd:
-        std::fprintf(f,
-                     "{\"ph\":\"%s\",\"cat\":\"hop\",\"id\":\"0x%llx.%d\","
-                     "\"name\":\"pkt %llu @ r%d\",\"pid\":0,\"tid\":%d,"
-                     "\"ts\":%llu}",
-                     e.type == TraceEventType::HopBegin ? "b" : "e", id,
-                     e.node, id, e.node, e.node, ts);
-        break;
-      case TraceEventType::VaGrant:
-      case TraceEventType::SaGrant:
-      case TraceEventType::Eject: {
-        const char* name = e.type == TraceEventType::VaGrant ? "VA"
-                           : e.type == TraceEventType::SaGrant ? "SA"
-                                                               : "eject";
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"cat\":\"pkt\",\"s\":\"t\","
-                     "\"name\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%llu,"
-                     "\"args\":{\"pkt\":\"0x%llx\"}}",
-                     name, e.node, ts, id);
+      case TraceEventType::HopEnd: {
+        const std::string router = std::to_string(e.node);
+        w.field("ph", begin ? "b" : "e").field("cat", "hop");
+        w.field("id", hex_id(e.id) + "." + router);
+        w.field("name",
+                std::string("pkt ") + std::to_string(e.id) + " @ r" + router);
         break;
       }
+      case TraceEventType::VaGrant:
+      case TraceEventType::SaGrant:
+      case TraceEventType::Eject:
+        w.field("ph", "i").field("cat", "pkt").field("s", "t");
+        w.field("name", e.type == TraceEventType::VaGrant   ? "VA"
+                        : e.type == TraceEventType::SaGrant ? "SA"
+                                                            : "eject");
+        w.key("args").begin_object().field("pkt", hex_id(e.id)).end_object();
+        break;
       case TraceEventType::Fault:
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"cat\":\"fault\",\"s\":\"g\","
-                     "\"name\":\"%s %d-%d\",\"pid\":0,\"tid\":0,"
-                     "\"ts\":%llu,\"args\":{\"a\":%d,\"b\":%d}}",
-                     fault_kind_name(static_cast<FaultKind>(e.aux)), e.a,
-                     e.b, ts, e.a, e.b);
+        w.field("ph", "i").field("cat", "fault").field("s", "g");
+        w.field("name",
+                std::string(fault_kind_name(static_cast<FaultKind>(e.aux))) +
+                    " " + std::to_string(e.a) + "-" + std::to_string(e.b));
+        w.key("args").begin_object().field("a", e.a).field("b", e.b);
+        w.end_object();
         break;
     }
+    // Fault events sit on track 0 (record_fault stores node 0).
+    w.field("pid", 0).field("tid", e.node).field("ts", e.ts).end_object();
   }
-  std::fputs("\n]}\n", f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool Telemetry::write_timeseries_csv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs(
-      "cycle,injected_flits,delivered_flits,open_packets,awake_routers,"
-      "fault_epoch\n",
-      f);
-  for (const TimeSample& s : samples_)
-    std::fprintf(f, "%" PRIu64 ",%" PRId64 ",%" PRId64 ",%" PRId64 ",%d,%"
-                 PRIu64 "\n",
-                 static_cast<uint64_t>(s.cycle), s.injected_flits,
-                 s.delivered_flits, s.open_packets, s.awake_routers,
-                 s.fault_epoch);
-  for (const FaultMarker& m : markers_)
-    std::fprintf(f, "# fault,%" PRIu64 ",%s,%d,%d\n",
-                 static_cast<uint64_t>(m.cycle), fault_kind_name(m.kind),
-                 m.a, m.b);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  w.end_array().end_object();
+  return json::write_file(path, w.str());
 }
 
 bool Telemetry::write_timeseries_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("{\"samples\":[\n", f);
-  JsonList rows{f};
+  json::Writer w;
+  w.begin_object().key("samples").begin_array();
   for (const TimeSample& s : samples_) {
-    rows.sep();
-    std::fprintf(f,
-                 "{\"cycle\":%" PRIu64 ",\"injected_flits\":%" PRId64
-                 ",\"delivered_flits\":%" PRId64 ",\"open_packets\":%" PRId64
-                 ",\"awake_routers\":%d,\"fault_epoch\":%" PRIu64 "}",
-                 static_cast<uint64_t>(s.cycle), s.injected_flits,
-                 s.delivered_flits, s.open_packets, s.awake_routers,
-                 s.fault_epoch);
+    w.begin_object().field("cycle", s.cycle);
+    w.field("injected_flits", s.injected_flits);
+    w.field("delivered_flits", s.delivered_flits);
+    w.field("open_packets", s.open_packets);
+    w.field("awake_routers", s.awake_routers);
+    w.field("fault_epoch", s.fault_epoch).end_object();
   }
-  std::fputs("\n],\"faults\":[\n", f);
-  JsonList faults{f};
+  w.end_array().key("faults").begin_array();
   for (const FaultMarker& m : markers_) {
-    faults.sep();
-    std::fprintf(f,
-                 "{\"cycle\":%" PRIu64 ",\"kind\":\"%s\",\"a\":%d,\"b\":%d}",
-                 static_cast<uint64_t>(m.cycle), fault_kind_name(m.kind),
-                 m.a, m.b);
+    w.begin_object().field("cycle", m.cycle);
+    w.field("kind", fault_kind_name(m.kind)).field("a", m.a).field("b", m.b);
+    w.end_object();
   }
-  std::fputs("\n]}\n", f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  w.end_array().end_object();
+  return json::write_file(path, w.str());
 }
 
 bool Telemetry::write_stalls_csv(const std::string& path, int kx) const {

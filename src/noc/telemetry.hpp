@@ -106,7 +106,7 @@ struct TraceEvent {
   int16_t b = -1;
 };
 
-/// Fault-schedule marker mirrored into both the time series CSV and the
+/// Fault-schedule marker mirrored into both the time series JSON and the
 /// Perfetto trace.
 struct FaultMarker {
   Cycle cycle = 0;
@@ -177,12 +177,12 @@ class Telemetry {
   // --- Exporters (cold path; allocate freely) ----------------------------
 
   /// Chrome/Perfetto trace_event JSON: thread-name metadata per router,
-  /// async pkt/hop slices, instants, fault markers. Returns false when the
-  /// file cannot be written.
+  /// async pkt/hop slices, instants, fault markers. Both JSON exporters go
+  /// through common/json.hpp and return false when the file cannot be
+  /// written.
   bool write_perfetto_json(const std::string& path) const;
-  /// Time series as CSV (one row per sample; fault markers appended as
-  /// `# fault` comment lines) and as a JSON array of objects.
-  bool write_timeseries_csv(const std::string& path) const;
+  /// Time series as {"samples": [...], "faults": [...]}: one object per
+  /// sample and per fault marker.
   bool write_timeseries_json(const std::string& path) const;
   /// Per-router stall mix as CSV: node,x,y,<five classes> -- the
   /// tools/plot_telemetry.py heatmap input. Mesh coordinates derive from

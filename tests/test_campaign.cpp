@@ -3,10 +3,10 @@
 // capture-once/replay-many guarantee -- replayed records must be
 // bit-identical to standalone runs of the same trace, and the record bytes
 // must not depend on thread count or on where a run was killed.
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
-#include <sstream>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "campaign/manifest.hpp"
 #include "campaign/result_store.hpp"
 #include "campaign/runner.hpp"
+#include "common/json.hpp"
 #include "noc/experiment.hpp"
 #include "noc/workload.hpp"
 
@@ -32,13 +33,6 @@ std::string fresh_root(const std::string& name, const Manifest& m) {
   return root;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 // Record files for every resolved point of `m`, concatenated in manifest
 // order -- one string to diff across runs.
 std::string all_record_bytes(const Manifest& m, const ResultStore& store) {
@@ -48,7 +42,7 @@ std::string all_record_bytes(const Manifest& m, const ResultStore& store) {
   std::string all;
   for (const auto& p : points) {
     const std::string bytes =
-        slurp(store.record_path(p.point->id, p.hash));
+        json::read_file(store.record_path(p.point->id, p.hash));
     EXPECT_FALSE(bytes.empty()) << "missing record for " << p.point->id;
     all += bytes;
   }
@@ -278,7 +272,7 @@ TEST(CampaignRunner, CorruptRecordIsRerunNotTrusted) {
   ASSERT_FALSE(points.empty()) << err;
   const std::string victim =
       store.record_path(points[0].point->id, points[0].hash);
-  const std::string good = slurp(victim);
+  const std::string good = json::read_file(victim);
   ASSERT_FALSE(good.empty());
 
   // Truncate the record mid-file: has_record must reject it and the next
@@ -292,7 +286,7 @@ TEST(CampaignRunner, CorruptRecordIsRerunNotTrusted) {
   ASSERT_TRUE(again.complete());
   EXPECT_EQ(again.executed, 1);
   EXPECT_EQ(again.skipped, static_cast<int>(m.points.size()) - 1);
-  EXPECT_EQ(slurp(victim), good);
+  EXPECT_EQ(json::read_file(victim), good);
 }
 
 TEST(CampaignRunner, ReplayRecordsMatchStandaloneTraceRuns) {
@@ -325,9 +319,166 @@ TEST(CampaignRunner, ReplayRecordsMatchStandaloneTraceRuns) {
     const CampaignRecord expect =
         make_record(m, points[i], point_report(r));
     EXPECT_EQ(ResultStore::serialize_record(expect),
-              slurp(store.record_path(points[i].point->id, points[i].hash)))
+              json::read_file(
+                  store.record_path(points[i].point->id, points[i].hash)))
         << points[i].point->id;
   }
+}
+
+TEST(CampaignRunner, MaximumLengthIdsRoundTrip) {
+  // valid_id accepts names and ids of up to 128 characters. A record that
+  // lost part of its id would never load again: every run would re-execute
+  // the point and gather would report it missing.
+  Manifest m;
+  m.name = std::string(128, 'c');
+  m.default_warmup = 50;
+  m.default_window = 200;
+  CampaignPoint p;
+  p.id = std::string(128, 'p');
+  p.k = 2;
+  p.offered = 0.05;
+  m.points.push_back(p);
+  ResultStore store(fresh_root("long_ids", m));
+
+  const RunSummary first = run_campaign(m, store, {.threads = 1});
+  ASSERT_TRUE(first.complete())
+      << (first.errors.empty() ? "" : first.errors[0]);
+  EXPECT_EQ(first.executed, 1);
+  const RunSummary second = run_campaign(m, store, {.threads = 1});
+  EXPECT_TRUE(second.complete());
+  EXPECT_EQ(second.executed, 0);
+  EXPECT_EQ(second.skipped, 1);
+
+  std::string err;
+  const auto points = resolve_manifest(m, &err);
+  ASSERT_EQ(points.size(), 1u) << err;
+  CampaignRecord rec;
+  ASSERT_TRUE(store.load_record(p.id, points[0].hash, &rec));
+  EXPECT_EQ(rec.point_id, p.id);
+  EXPECT_EQ(rec.campaign, m.name);
+
+  const std::string report = store.root() + "/long_ids_report.json";
+  const GatherResult g = gather_campaign(m, store, report);
+  EXPECT_TRUE(g.wrote);
+  EXPECT_EQ(g.complete, 1);
+  EXPECT_TRUE(g.missing.empty());
+  const std::string row = "\"name\": \"" + m.name + "/" + p.id + "\",";
+  EXPECT_NE(json::read_file(report).find(row), std::string::npos);
+}
+
+// The smoke grid's measure/k=2 record, byte for byte as result stores
+// already hold it (written before records went through common/json.hpp).
+constexpr char kPinnedRecord[] = R"({
+  "schema": 1,
+  "campaign": "smoke",
+  "point": "measure/k=2",
+  "kind": "measure",
+  "hash": "b04f0f3cfe87a109",
+  "status": "complete",
+  "host": {
+    "hardware_concurrency": 4,
+    "thread_budget": 4
+  },
+  "report": {
+    "items_per_second": 206000000,
+    "offered_fpc": 0.050000000000000003,
+    "avg_latency": 3.3980582524271843,
+    "recv_flits_per_cycle": 0.20599999999999999,
+    "recv_gbps": 13.183999999999999,
+    "bypass_rate": 0.99586776859504134,
+    "completed_packets": 103,
+    "dropped_packets": 0,
+    "max_ejection_load": 0.062,
+    "max_bisection_load": 0.035999999999999997,
+    "transactions": 0,
+    "avg_transaction_latency": 0,
+    "max_transaction_latency": 0,
+    "transactions_per_cycle": 0,
+    "closed_loop_window": 0,
+    "avg_probe_latency": 0,
+    "avg_response_latency": 0,
+    "p50_latency": 3,
+    "p95_latency": 4,
+    "p99_latency": 4,
+    "min_latency": 3,
+    "max_latency": 5,
+    "stall_buffer_empty": 0,
+    "stall_no_free_vc": 0,
+    "stall_no_credit": 0,
+    "stall_lost_sa": 0,
+    "stall_lost_va": 0,
+    "xbar_traversals": 242,
+    "link_traversals": 140,
+    "buffer_writes": 1,
+    "buffer_reads": 1,
+    "vc_active_cycles": 243,
+    "bypasses": 241,
+    "buffered_hops": 1
+  }
+}
+)";
+
+TEST(CampaignStore, PinnedRecordLoadsAndReserializesByteForByte) {
+  ResultStore store(::testing::TempDir() + "campaign_pinned");
+  ASSERT_TRUE(store.ensure_dirs());
+  const std::string id = "measure/k=2";
+  const std::string hash = "b04f0f3cfe87a109";
+  std::ofstream(store.record_path(id, hash), std::ios::binary)
+      << kPinnedRecord;
+
+  CampaignRecord rec;
+  ASSERT_TRUE(store.load_record(id, hash, &rec));
+  EXPECT_EQ(rec.schema, 1);
+  EXPECT_EQ(rec.campaign, "smoke");
+  EXPECT_EQ(rec.point_id, id);
+  EXPECT_EQ(rec.kind, "measure");
+  EXPECT_EQ(rec.hash, hash);
+  EXPECT_EQ(rec.host.hardware_concurrency, 4u);
+  EXPECT_EQ(rec.host.thread_budget, 4);
+  const std::pair<const char*, double> expect[] = {
+      {"items_per_second", 206000000},
+      {"offered_fpc", 0.050000000000000003},
+      {"avg_latency", 3.3980582524271843},
+      {"recv_flits_per_cycle", 0.20599999999999999},
+      {"recv_gbps", 13.183999999999999},
+      {"bypass_rate", 0.99586776859504134},
+      {"completed_packets", 103},
+      {"dropped_packets", 0},
+      {"max_ejection_load", 0.062},
+      {"max_bisection_load", 0.035999999999999997},
+      {"transactions", 0},
+      {"avg_transaction_latency", 0},
+      {"max_transaction_latency", 0},
+      {"transactions_per_cycle", 0},
+      {"closed_loop_window", 0},
+      {"avg_probe_latency", 0},
+      {"avg_response_latency", 0},
+      {"p50_latency", 3},
+      {"p95_latency", 4},
+      {"p99_latency", 4},
+      {"min_latency", 3},
+      {"max_latency", 5},
+      {"stall_buffer_empty", 0},
+      {"stall_no_free_vc", 0},
+      {"stall_no_credit", 0},
+      {"stall_lost_sa", 0},
+      {"stall_lost_va", 0},
+      {"xbar_traversals", 242},
+      {"link_traversals", 140},
+      {"buffer_writes", 1},
+      {"buffer_reads", 1},
+      {"vc_active_cycles", 243},
+      {"bypasses", 241},
+      {"buffered_hops", 1},
+  };
+  ASSERT_EQ(rec.report.size(), std::size(expect));
+  for (size_t i = 0; i < rec.report.size(); ++i) {
+    EXPECT_EQ(rec.report[i].first, expect[i].first);
+    EXPECT_EQ(std::bit_cast<uint64_t>(rec.report[i].second),
+              std::bit_cast<uint64_t>(expect[i].second))
+        << expect[i].first;
+  }
+  EXPECT_EQ(ResultStore::serialize_record(rec), kPinnedRecord);
 }
 
 TEST(CampaignGather, ReportCoversEveryPointOrNamesTheMissing) {
@@ -351,7 +502,7 @@ TEST(CampaignGather, ReportCoversEveryPointOrNamesTheMissing) {
   EXPECT_TRUE(full.wrote);
   EXPECT_EQ(full.complete, static_cast<int>(m.points.size()));
   EXPECT_TRUE(full.missing.empty());
-  const std::string bytes = slurp(report);
+  const std::string bytes = json::read_file(report);
   EXPECT_NE(bytes.find("\"benchmarks\""), std::string::npos);
   for (const auto& p : m.points)
     EXPECT_NE(bytes.find(m.name + "/" + p.id), std::string::npos) << p.id;
@@ -366,7 +517,7 @@ TEST(CampaignGather, InvalidManifestFailsWithoutWritingOrRemoving) {
   ASSERT_FALSE(points.empty()) << err;
   const std::string record = store.record_path(points[0].point->id,
                                                points[0].hash);
-  ASSERT_FALSE(slurp(record).empty());
+  ASSERT_FALSE(json::read_file(record).empty());
 
   Manifest dup = m;
   dup.points.push_back(dup.points[0]);  // duplicate point id
@@ -381,5 +532,5 @@ TEST(CampaignGather, InvalidManifestFailsWithoutWritingOrRemoving) {
   err.clear();
   EXPECT_EQ(store.remove_campaign(dup, &err), -1);
   EXPECT_NE(err.find("duplicate id"), std::string::npos) << err;
-  EXPECT_FALSE(slurp(record).empty()) << "record removed";
+  EXPECT_FALSE(json::read_file(record).empty()) << "record removed";
 }

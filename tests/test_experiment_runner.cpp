@@ -3,12 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hpp"
 #include "noc/experiment.hpp"
 #include "noc/network.hpp"
 #include "noc/workload.hpp"
@@ -406,13 +405,6 @@ TEST(ParallelStepping, ExternalSubmissionsBetweenStepsMatchSerial) {
   EXPECT_EQ(par.quiescent_at, serial.quiescent_at);
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 TEST(ParallelStepping, TraceRecordingMatchesSerialRecording) {
   // Spans record into their own buffers and the merge appends them in
   // (cycle, src) order: the recorded trace must be byte-for-byte what a
@@ -444,9 +436,9 @@ TEST(ParallelStepping, TraceRecordingMatchesSerialRecording) {
   const std::string par_path = ::testing::TempDir() + "rec_spans.trace";
   ASSERT_TRUE(save_trace(serial_path, *serial));
   ASSERT_TRUE(save_trace(par_path, *par));
-  const std::string serial_text = read_file(serial_path);
+  const std::string serial_text = json::read_file(serial_path);
   EXPECT_GT(serial_text.size(), 1000u);
-  EXPECT_EQ(read_file(par_path), serial_text);
+  EXPECT_EQ(json::read_file(par_path), serial_text);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "campaign/manifest.hpp"
+#include "common/json.hpp"
 #include "noc/metrics.hpp"
 #include "noc/network.hpp"
 #include "noc/telemetry.hpp"
@@ -124,15 +123,9 @@ TEST(Telemetry, TraceSamplingAndDisable) {
 
 // ---------------------------------------------------------------------------
 // Exporters: run a real faulted network, then validate the artifacts. The
-// C++ side checks structure via substrings; CI additionally json.load()s
-// the trace (.github/workflows/ci.yml telemetry smoke).
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+// C++ side checks structure via substrings in the one layout of
+// common/json.hpp; CI additionally json.load()s the trace and the time
+// series (.github/workflows/ci.yml telemetry smoke).
 
 TEST(Telemetry, ExportersProduceValidArtifacts) {
   NetworkConfig cfg = NetworkConfig::proposed(4);
@@ -158,32 +151,38 @@ TEST(Telemetry, ExportersProduceValidArtifacts) {
 
   const std::string dir = ::testing::TempDir();
   const std::string trace = dir + "telemetry_trace.json";
-  const std::string ts_csv = dir + "telemetry_ts.csv";
   const std::string ts_json = dir + "telemetry_ts.json";
   const std::string stalls = dir + "telemetry_stalls.csv";
   ASSERT_TRUE(t.write_perfetto_json(trace));
-  ASSERT_TRUE(t.write_timeseries_csv(ts_csv));
   ASSERT_TRUE(t.write_timeseries_json(ts_json));
   ASSERT_TRUE(t.write_stalls_csv(stalls, cfg.k));
 
-  const std::string tj = slurp(trace);
+  const std::string tj = json::read_file(trace);
   EXPECT_NE(tj.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(tj.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(tj.find("\"cat\":\"pkt\""), std::string::npos);
-  EXPECT_NE(tj.find("\"cat\":\"hop\""), std::string::npos);
+  EXPECT_NE(tj.find("\"cat\": \"pkt\""), std::string::npos);
+  EXPECT_NE(tj.find("\"cat\": \"hop\""), std::string::npos);
   EXPECT_NE(tj.find("link-down 5-6"), std::string::npos);
   EXPECT_EQ(tj.find("NaN"), std::string::npos);
 
-  const std::string tc = slurp(ts_csv);
-  EXPECT_EQ(tc.rfind("cycle,injected_flits,delivered_flits", 0), 0u);
-  EXPECT_NE(tc.find("# fault,400,link-down,5,6"), std::string::npos);
+  const std::string tsj = json::read_file(ts_json);
+  EXPECT_EQ(tsj.rfind("{\n  \"samples\": [\n    {\n      \"cycle\": ", 0),
+            0u);
+  EXPECT_NE(tsj.find("\"faults\": [\n"
+                     "    {\n"
+                     "      \"cycle\": 400,\n"
+                     "      \"kind\": \"link-down\",\n"
+                     "      \"a\": 5,\n"
+                     "      \"b\": 6\n"
+                     "    },"),
+            std::string::npos);
 
-  const std::string sc = slurp(stalls);
+  const std::string sc = json::read_file(stalls);
   EXPECT_EQ(sc.rfind("node,x,y,buffer_empty,no_free_vc,no_credit", 0), 0u);
   // 16 routers + header.
   EXPECT_EQ(std::count(sc.begin(), sc.end(), '\n'), 17);
 
-  for (const std::string& p : {trace, ts_csv, ts_json, stalls})
+  for (const std::string& p : {trace, ts_json, stalls})
     std::remove(p.c_str());
 }
 

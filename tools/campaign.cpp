@@ -315,7 +315,6 @@ int cmd_telemetry(const CliArgs& args) {
   // (both reset at begin_measurement_window): the heatmaps show where the
   // rerouted traffic piles up around the dead link.
   ok = t->write_perfetto_json(dir + "/trace.json") && ok;
-  ok = t->write_timeseries_csv(dir + "/timeseries.csv") && ok;
   ok = t->write_timeseries_json(dir + "/timeseries.json") && ok;
   ok = t->write_stalls_csv(dir + "/stalls.csv", k) && ok;
   ok = write_links_csv(dir + "/links.csv", net) && ok;
@@ -325,8 +324,7 @@ int cmd_telemetry(const CliArgs& args) {
     return 1;
   }
   std::printf(
-      "wrote %s/{trace.json,timeseries.csv,timeseries.json,stalls.csv,"
-      "links.csv}\n"
+      "wrote %s/{trace.json,timeseries.json,stalls.csv,links.csv}\n"
       "render: python3 tools/plot_telemetry.py %s\n"
       "trace.json loads in Perfetto (ui.perfetto.dev) or chrome://tracing\n",
       dir.c_str(), dir.c_str());

@@ -4,15 +4,17 @@ Telemetry exporter run -- docs/OBSERVABILITY.md).
 
 usage: plot_telemetry.py DIR [--out OUTDIR]
 
-DIR must hold stalls.csv / links.csv / timeseries.csv as written by the
-exporters. With matplotlib installed this renders PNGs into OUTDIR
-(default: DIR): a per-router stall-mix heatmap (one panel per stall
-class), a per-link load heatmap, and the time series with fault markers.
+DIR must hold stalls.csv and links.csv, and may hold timeseries.json
+(samples plus fault markers), as written by the exporters. With
+matplotlib installed this renders PNGs into OUTDIR (default: DIR): a
+per-router stall-mix heatmap (one panel per stall class), a per-link
+load heatmap, and the time series with fault markers.
 Without matplotlib it falls back to ASCII heatmaps and a sparkline on
 stdout -- same data, no dependency to install.
 """
 
 import csv
+import json
 import os
 import sys
 
@@ -27,8 +29,6 @@ def load_grid_csv(path, value_cols):
     kx = ky = 0
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
-            if row["node"].startswith("#"):
-                continue
             x, y = int(row["x"]), int(row["y"])
             kx, ky = max(kx, x + 1), max(ky, y + 1)
             for c in value_cols:
@@ -37,28 +37,10 @@ def load_grid_csv(path, value_cols):
 
 
 def load_timeseries(path):
-    """timeseries.csv -> (samples as dict lists, fault markers).
-
-    Fault markers ride as '# fault,<cycle>,<kind>,<a>,<b>' comment lines.
-    """
-    samples, faults = [], []
-    with open(path, newline="") as f:
-        header = None
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# fault,"):
-                _, cycle, kind, a, b = line.split(",")
-                faults.append({"cycle": int(cycle), "kind": kind,
-                               "a": int(a), "b": int(b)})
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            vals = line.split(",")
-            samples.append({h: int(v) for h, v in zip(header, vals)})
-    return samples, faults
+    """timeseries.json -> (samples, fault markers), each a list of dicts."""
+    with open(path) as f:
+        ts = json.load(f)
+    return ts["samples"], ts["faults"]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +176,7 @@ def main(argv):
 
     stalls_path = os.path.join(indir, "stalls.csv")
     links_path = os.path.join(indir, "links.csv")
-    ts_path = os.path.join(indir, "timeseries.csv")
+    ts_path = os.path.join(indir, "timeseries.json")
     for p in (stalls_path, links_path):
         if not os.path.exists(p):
             print(f"missing {p} (run `campaign telemetry --out-dir {indir}` "
