@@ -3,9 +3,11 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "common/json.hpp"
 #include "common/parse.hpp"
 
 namespace noc::campaign {
@@ -67,13 +69,144 @@ std::string point_error(const CampaignPoint& p, const std::string& what) {
   return "point '" + p.id + "': " + what;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The manifest's keywords, each named once with its member and, for
+// numbers, the bounds validate_manifest enforces. A list calls
+// visit(name, member, lo, hi) per keyword; loading, saving and the
+// per-field checks loop over it. The campaign key does not: it serializes
+// the resolved NetworkConfig (campaign_point_key).
+constexpr auto kDefaultFields = [](auto&& visit) {
+  visit("warmup", &Manifest::default_warmup, 0.0, kInf);
+  visit("window", &Manifest::default_window, 1.0, kInf);
+};
+
+constexpr auto kPointFields = [](auto&& visit) {
+  const auto f = [&](const char* name, auto member, double lo = -kInf,
+                     double hi = kInf) { visit(name, member, lo, hi); };
+  f("kind", &CampaignPoint::kind);
+  f("pipeline", &CampaignPoint::pipeline);
+  f("k", &CampaignPoint::k, 2, kMaxMeshRadix);
+  f("ky", &CampaignPoint::ky, 0, kMaxMeshRadix);
+  f("policy", &CampaignPoint::policy);
+  f("request-vcs", &CampaignPoint::request_vcs, 0, kMaxTotalVcs);
+  f("response-vcs", &CampaignPoint::response_vcs, 0, kMaxTotalVcs);
+  f("gating", &CampaignPoint::gating);
+  f("step-threads", &CampaignPoint::step_threads, 1);
+  f("workload", &CampaignPoint::workload);
+  f("pattern", &CampaignPoint::pattern);
+  f("offered", &CampaignPoint::offered, 0);
+  f("identical-prbs", &CampaignPoint::identical_prbs);
+  f("seed", &CampaignPoint::seed);
+  // Closed-loop bounds belong to ClosedLoopConfig::validate.
+  f("mshr-window", &CampaignPoint::mshr_window);
+  f("issue-prob", &CampaignPoint::issue_prob);
+  f("directory-latency", &CampaignPoint::directory_latency);
+  f("think-time", &CampaignPoint::think_time);
+  f("fault-links", &CampaignPoint::fault_links, 0);
+  f("fault-degrade", &CampaignPoint::fault_degrade, 0);
+  f("fault-seed", &CampaignPoint::fault_seed);
+  f("fault-kill-at", &CampaignPoint::fault_kill_at, 0);
+  f("fault-revive-after", &CampaignPoint::fault_revive_after, 0);
+  f("telemetry", &CampaignPoint::telemetry);
+  f("telemetry-sample-every", &CampaignPoint::telemetry_sample_every, 0);
+  f("warmup", &CampaignPoint::warmup, 0);
+  f("window", &CampaignPoint::window, 0);
+  f("trace-from", &CampaignPoint::trace_from);
+};
+
+template <typename T>
+constexpr bool kIsNumber = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
+std::optional<WorkloadKind> parse_workload(std::string_view s) {
+  if (s == "open") return WorkloadKind::OpenLoop;
+  if (s == "closed") return WorkloadKind::ClosedLoop;
+  for (WorkloadKind k : {WorkloadKind::OpenLoop, WorkloadKind::ClosedLoop,
+                         WorkloadKind::Trace})
+    if (s == workload_kind_name(k)) return k;
+  return std::nullopt;
+}
+
+// One text form per value type, shared by the manifest file and the
+// campaign key: numbers as parse_number reads them (doubles at %.17g, so
+// they read back bit-equal), bools as on/off, enums by name.
+template <typename T>
+std::string to_text(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return v ? "on" : "off";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else if constexpr (std::is_same_v<T, PointKind>) {
+    return point_kind_name(v);
+  } else if constexpr (std::is_same_v<T, PipelinePreset>) {
+    return pipeline_preset_name(v);
+  } else if constexpr (std::is_same_v<T, RoutePolicy>) {
+    return route_policy_name(v);
+  } else if constexpr (std::is_same_v<T, TrafficPattern>) {
+    return traffic_pattern_name(v);
+  } else {
+    static_assert(std::is_same_v<T, WorkloadKind>);
+    return workload_kind_name(v);
+  }
+}
+
+template <typename T>
+bool from_text(const std::string& s, T* out) {
+  std::optional<T> v;
+  if constexpr (std::is_same_v<T, std::string>) {
+    v = s;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (s == "on" || s == "true" || s == "1") v = true;
+    if (s == "off" || s == "false" || s == "0") v = false;
+  } else if constexpr (kIsNumber<T>) {
+    return parse_number(s, out);
+  } else if constexpr (std::is_same_v<T, PointKind>) {
+    v = parse_point_kind(s);
+  } else if constexpr (std::is_same_v<T, PipelinePreset>) {
+    v = parse_pipeline_preset(s);
+  } else if constexpr (std::is_same_v<T, RoutePolicy>) {
+    v = parse_route_policy(s);
+  } else if constexpr (std::is_same_v<T, TrafficPattern>) {
+    v = parse_traffic_pattern(s);
+  } else {
+    v = parse_workload(s);
+  }
+  if (v) *out = *v;
+  return v.has_value();
+}
+
+// The first number in `obj` outside its bounds, as a diagnostic; "" when
+// every one is in range.
+template <typename Fields, typename Obj>
+std::string check_bounds(const Fields& fields, const Obj& obj) {
+  std::string err;
+  fields([&](const char* name, auto member, double lo, double hi) {
+    using T = std::remove_cvref_t<decltype(obj.*member)>;
+    if constexpr (kIsNumber<T>) {
+      const auto v = static_cast<double>(obj.*member);
+      if (!err.empty() || (v >= lo && v <= hi)) return;
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "'%s' must be in %g..%g, got %g", name,
+                    lo, hi, v);
+      err = buf;
+    }
+  });
+  return err;
+}
+
 }  // namespace
 
 std::string validate_manifest(const Manifest& m) {
   if (m.name.empty() || !valid_id(m.name))
     return "campaign name must be non-empty ([A-Za-z0-9_.=/-])";
-  if (m.default_warmup < 0 || m.default_window < 1)
-    return "campaign defaults: warmup must be >= 0, window >= 1";
+  if (std::string err = check_bounds(kDefaultFields, m); !err.empty())
+    return "campaign defaults: " + err;
   if (m.points.empty()) return "manifest has no points";
   for (size_t i = 0; i < m.points.size(); ++i) {
     const CampaignPoint& p = m.points[i];
@@ -82,25 +215,14 @@ std::string validate_manifest(const Manifest& m) {
              ": id must be non-empty ([A-Za-z0-9_.=/-])";
     for (size_t j = 0; j < i; ++j)
       if (m.points[j].id == p.id) return point_error(p, "duplicate id");
-    const int ky = p.ky > 0 ? p.ky : p.k;
-    if (p.k < 2 || p.k > kMaxMeshRadix || ky < 2 || ky > kMaxMeshRadix ||
-        p.k * ky > DestMask::kCapacity)
-      return point_error(p, "mesh geometry out of range (2..kMaxMeshRadix, "
-                            "k*ky <= DestMask capacity)");
-    if (p.request_vcs < 0 || p.response_vcs < 0)
-      return point_error(p, "VC overrides must be >= 0 (0 = preset)");
-    if (p.step_threads < 1)
-      return point_error(p, "step_threads must be >= 1");
-    if (p.warmup < 0 || p.window < 0)
-      return point_error(p, "warmup/window overrides must be >= 0");
-    if (p.fault_links < 0 || p.fault_degrade < 0 || p.fault_kill_at < 0 ||
-        p.fault_revive_after < 0)
-      return point_error(p, "fault knobs must be >= 0");
-    if (p.telemetry_sample_every < 0)
-      return point_error(p, "telemetry-sample-every must be >= 0");
+    if (std::string err = check_bounds(kPointFields, p); !err.empty())
+      return point_error(p, err);
+    // k, ky <= kMaxMeshRadix keeps k*ky within DestMask (geometry.hpp).
+    if (p.ky == 1) return point_error(p, "'ky' must be 0 (square) or >= 2");
     if (p.telemetry_sample_every > 0 && !p.telemetry)
       return point_error(p,
                          "telemetry-sample-every needs 'telemetry on'");
+    const int ky = p.ky > 0 ? p.ky : p.k;
     const int num_links = (p.k - 1) * ky + p.k * (ky - 1);
     if (p.fault_links > num_links)
       return point_error(p, "fault-links exceeds the mesh's link count");
@@ -119,26 +241,34 @@ std::string validate_manifest(const Manifest& m) {
       if (dep->kind != PointKind::Capture)
         return point_error(p, "trace-from '" + p.trace_from +
                                   "' is not a capture point");
+      if (dep->k != p.k || (dep->ky > 0 ? dep->ky : dep->k) != ky)
+        return point_error(p, "trace-from '" + p.trace_from +
+                                  "' is captured on another mesh ('k'/'ky')");
     } else if (!p.trace_from.empty()) {
       return point_error(p, "trace-from is only valid on replay points");
-    }
-    if (p.workload == WorkloadKind::ClosedLoop ||
-        (p.kind == PointKind::Capture &&
-         p.workload != WorkloadKind::OpenLoop)) {
-      ClosedLoopConfig c;
-      c.window = p.mshr_window;
-      c.issue_prob = p.issue_prob;
-      c.directory_latency = p.directory_latency;
-      c.think_time = p.think_time;
-      if (const char* err = c.validate()) return point_error(p, err);
     }
     if (p.workload == WorkloadKind::Trace && p.kind != PointKind::Replay)
       return point_error(p,
                          "trace workloads enter campaigns as replay points");
-    // Lane-splitting policies need both lanes populated; catch it at
-    // manifest time with a readable message instead of deep in Network
-    // construction.
-    NetworkConfig cfg = point_config(p);
+    // What the resolved config must hold for the run not to trip a
+    // precondition, caught here with a readable message.
+    const NetworkConfig cfg = point_config(p);
+    if (cfg.workload.kind == WorkloadKind::ClosedLoop) {
+      if (const char* err = cfg.workload.closed.validate())
+        return point_error(p, err);
+    }
+    if (cfg.workload.kind == WorkloadKind::OpenLoop && cfg.ky > 0 &&
+        cfg.ky != cfg.k &&
+        (cfg.traffic.pattern == TrafficPattern::Transpose ||
+         cfg.traffic.pattern == TrafficPattern::Tornado ||
+         cfg.traffic.pattern == TrafficPattern::NearestNeighbor))
+      return point_error(p, "'pattern' " + to_text(cfg.traffic.pattern) +
+                                " needs a square mesh ('ky' 0 or 'k')");
+    if (cfg.router.vc.total_vcs() > kMaxTotalVcs)
+      return point_error(p, "'request-vcs' + 'response-vcs' give " +
+                                std::to_string(cfg.router.vc.total_vcs()) +
+                                " VCs per port, more than kMaxTotalVcs = " +
+                                std::to_string(kMaxTotalVcs));
     if (route_policy_uses_lanes(cfg.router.routing) &&
         !cfg.router.vc.lanes_available())
       return point_error(p, "policy needs >= 2 VCs per message class "
@@ -202,29 +332,20 @@ MeasureOptions point_measure(const Manifest& m, const CampaignPoint& p) {
 
 namespace {
 
-void append_kv(std::string& key, const char* name, const std::string& v) {
-  key += name;
-  key += '=';
-  key += v;
-  key += ';';
+template <typename T>
+void append_key(std::string& key, const char* name, const T& v) {
+  key.append(name).append("=").append(to_text(v)).append(";");
 }
 
-void append_int(std::string& key, const char* name, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  append_kv(key, name, buf);
-}
-
-void append_u64(std::string& key, const char* name, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  append_kv(key, name, buf);
-}
-
-void append_double(std::string& key, const char* name, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  append_kv(key, name, buf);
+std::string fnv1a_hex(const std::string& key) {
+  uint64_t h = 1469598103934665603ull;
+  for (char c : key) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016" PRIx64, h);
+  return hex;
 }
 
 }  // namespace
@@ -238,74 +359,66 @@ std::string campaign_point_key(const Manifest& m, const CampaignPoint& p,
   const MeasureOptions opt = point_measure(m, p);
   std::string key;
   key.reserve(512);
-  append_int(key, "schema", kCampaignSchemaVersion);
-  append_kv(key, "kind", point_kind_name(p.kind));
-  append_int(key, "k", cfg.k);
-  append_int(key, "ky", cfg.ky);
-  append_int(key, "pipeline", static_cast<int>(cfg.router.pipeline));
-  append_int(key, "multicast", cfg.router.multicast ? 1 : 0);
-  append_int(key, "partial_bypass", cfg.router.allow_partial_bypass ? 1 : 0);
-  append_int(key, "la_priority", cfg.router.lookahead_priority ? 1 : 0);
-  append_int(key, "sa1_actionable",
+  append_key(key, "schema", kCampaignSchemaVersion);
+  append_key(key, "kind", p.kind);
+  append_key(key, "k", cfg.k);
+  append_key(key, "ky", cfg.ky);
+  append_key(key, "pipeline", static_cast<int>(cfg.router.pipeline));
+  append_key(key, "multicast", cfg.router.multicast ? 1 : 0);
+  append_key(key, "partial_bypass", cfg.router.allow_partial_bypass ? 1 : 0);
+  append_key(key, "la_priority", cfg.router.lookahead_priority ? 1 : 0);
+  append_key(key, "sa1_actionable",
              cfg.router.actionable_sa1_requests ? 1 : 0);
-  append_kv(key, "policy", route_policy_name(cfg.router.routing));
-  append_int(key, "req_vcs", cfg.router.vc.vcs_per_mc[0]);
-  append_int(key, "resp_vcs", cfg.router.vc.vcs_per_mc[1]);
-  append_int(key, "req_depth", cfg.router.vc.depth_per_mc[0]);
-  append_int(key, "resp_depth", cfg.router.vc.depth_per_mc[1]);
-  append_int(key, "gating", cfg.activity_gating ? 1 : 0);
-  append_int(key, "step_threads", cfg.step_threads);
-  append_kv(key, "pattern", traffic_pattern_name(cfg.traffic.pattern));
-  append_double(key, "offered", cfg.traffic.offered_flits_per_node_cycle);
+  append_key(key, "policy", cfg.router.routing);
+  append_key(key, "req_vcs", cfg.router.vc.vcs_per_mc[0]);
+  append_key(key, "resp_vcs", cfg.router.vc.vcs_per_mc[1]);
+  append_key(key, "req_depth", cfg.router.vc.depth_per_mc[0]);
+  append_key(key, "resp_depth", cfg.router.vc.depth_per_mc[1]);
+  append_key(key, "gating", cfg.activity_gating ? 1 : 0);
+  append_key(key, "step_threads", cfg.step_threads);
+  append_key(key, "pattern", cfg.traffic.pattern);
+  append_key(key, "offered", cfg.traffic.offered_flits_per_node_cycle);
   // synced_bias, self_bcast, the frac_* fields and resp_len were config
   // knobs once; they keep their fixed values in the key, so every hash in
   // an existing result store stays valid.
-  append_int(key, "identical_prbs", cfg.traffic.identical_prbs ? 1 : 0);
-  append_int(key, "synced_bias", 0);
-  append_int(key, "self_bcast", 1);
-  append_u64(key, "seed", cfg.traffic.seed);
-  append_double(key, "frac_bcast", kMixedBroadcastFrac);
-  append_double(key, "frac_ureq", kMixedUnicastRequestFrac);
-  append_double(key, "frac_uresp", kMixedUnicastResponseFrac);
-  append_kv(key, "workload", workload_kind_name(cfg.workload.kind));
-  append_int(key, "mshr", cfg.workload.closed.window);
-  append_double(key, "issue_prob", cfg.workload.closed.issue_prob);
-  append_int(key, "dir_latency", cfg.workload.closed.directory_latency);
-  append_int(key, "think", cfg.workload.closed.think_time);
-  append_int(key, "resp_len", kResponsePacketLen);
-  append_int(key, "warmup", opt.warmup);
-  append_int(key, "window", opt.window);
+  append_key(key, "identical_prbs", cfg.traffic.identical_prbs ? 1 : 0);
+  append_key(key, "synced_bias", 0);
+  append_key(key, "self_bcast", 1);
+  append_key(key, "seed", cfg.traffic.seed);
+  append_key(key, "frac_bcast", kMixedBroadcastFrac);
+  append_key(key, "frac_ureq", kMixedUnicastRequestFrac);
+  append_key(key, "frac_uresp", kMixedUnicastResponseFrac);
+  append_key(key, "workload", cfg.workload.kind);
+  append_key(key, "mshr", cfg.workload.closed.window);
+  append_key(key, "issue_prob", cfg.workload.closed.issue_prob);
+  append_key(key, "dir_latency", cfg.workload.closed.directory_latency);
+  append_key(key, "think", cfg.workload.closed.think_time);
+  append_key(key, "resp_len", kResponsePacketLen);
+  append_key(key, "warmup", opt.warmup);
+  append_key(key, "window", opt.window);
   // Fault knobs hash CONDITIONALLY: pristine points keep their pre-fault
   // key byte-for-byte, so existing result stores stay valid across the
   // schema's fault extension.
   if (p.fault_links > 0 || p.fault_degrade > 0) {
-    append_int(key, "fault_links", p.fault_links);
-    append_int(key, "fault_degrade", p.fault_degrade);
-    append_u64(key, "fault_seed", p.fault_seed);
-    append_int(key, "fault_kill_at", p.fault_kill_at);
-    append_int(key, "fault_revive_after", p.fault_revive_after);
+    append_key(key, "fault_links", p.fault_links);
+    append_key(key, "fault_degrade", p.fault_degrade);
+    append_key(key, "fault_seed", p.fault_seed);
+    append_key(key, "fault_kill_at", p.fault_kill_at);
+    append_key(key, "fault_revive_after", p.fault_revive_after);
   }
   // Telemetry knobs hash conditionally for the same reason: points without
   // them keep their existing key byte-for-byte.
   if (p.telemetry) {
-    append_int(key, "telemetry", 1);
-    append_int(key, "telemetry_sample", p.telemetry_sample_every);
+    append_key(key, "telemetry", 1);
+    append_key(key, "telemetry_sample", p.telemetry_sample_every);
   }
-  if (!dep_hash.empty()) append_kv(key, "trace", dep_hash);
+  if (!dep_hash.empty()) append_key(key, "trace", dep_hash);
   return key;
 }
 
 std::string campaign_point_hash(const Manifest& m, const CampaignPoint& p,
                                 const std::string& dep_hash) {
-  const std::string key = campaign_point_key(m, p, dep_hash);
-  uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016" PRIx64, h);
-  return hex;
+  return fnv1a_hex(campaign_point_key(m, p, dep_hash));
 }
 
 std::vector<ResolvedPoint> resolve_manifest(const Manifest& m,
@@ -315,31 +428,22 @@ std::vector<ResolvedPoint> resolve_manifest(const Manifest& m,
     return {};
   }
   std::vector<ResolvedPoint> out(m.points.size());
-  // Pass 1: everything without a trace dependency (captures included), so
-  // pass 2's replay points can fold their capture's hash in.
   for (size_t i = 0; i < m.points.size(); ++i) {
     const CampaignPoint& p = m.points[i];
-    if (p.kind == PointKind::Replay) continue;
-    out[i].point = &p;
-    out[i].cfg = point_config(p);
-    out[i].measure = point_measure(m, p);
-    out[i].key = campaign_point_key(m, p, {});
-    out[i].hash = campaign_point_hash(m, p, {});
-  }
-  for (size_t i = 0; i < m.points.size(); ++i) {
-    const CampaignPoint& p = m.points[i];
-    if (p.kind != PointKind::Replay) continue;
-    int dep = -1;
-    for (size_t j = 0; j < m.points.size(); ++j)
-      if (m.points[j].id == p.trace_from) dep = static_cast<int>(j);
-    NOC_ASSERT(dep >= 0);  // validate_manifest guarantees it
-    out[i].point = &p;
-    out[i].cfg = point_config(p);
-    out[i].measure = point_measure(m, p);
-    out[i].dep_index = dep;
-    const std::string& dep_hash = out[static_cast<size_t>(dep)].hash;
-    out[i].key = campaign_point_key(m, p, dep_hash);
-    out[i].hash = campaign_point_hash(m, p, dep_hash);
+    ResolvedPoint& r = out[i];
+    r.point = &p;
+    r.cfg = point_config(p);
+    r.measure = point_measure(m, p);
+    // A replay folds in its capture's hash; captures have no dependency of
+    // their own (validate_manifest), so that hash needs no dep_hash.
+    std::string dep_hash;
+    if (p.kind == PointKind::Replay) {
+      const CampaignPoint* dep = m.find(p.trace_from);
+      r.dep_index = static_cast<int>(dep - m.points.data());
+      dep_hash = campaign_point_hash(m, *dep, {});
+    }
+    r.key = campaign_point_key(m, p, dep_hash);
+    r.hash = fnv1a_hex(r.key);
   }
   return out;
 }
@@ -347,226 +451,101 @@ std::vector<ResolvedPoint> resolve_manifest(const Manifest& m,
 // ---------------------------------------------------------------------------
 // Manifest file I/O.
 
-bool save_manifest(const std::string& path, const Manifest& m) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "# noc-campaign v1\n");
-  std::fprintf(f, "campaign %s\n", m.name.c_str());
-  std::fprintf(f, "warmup %" PRId64 "\n", m.default_warmup);
-  std::fprintf(f, "window %" PRId64 "\n", m.default_window);
-  for (const CampaignPoint& p : m.points) {
-    std::fprintf(f, "\npoint %s\n", p.id.c_str());
-    std::fprintf(f, "  kind %s\n", point_kind_name(p.kind));
-    std::fprintf(f, "  pipeline %s\n", pipeline_preset_name(p.pipeline));
-    std::fprintf(f, "  k %d\n", p.k);
-    if (p.ky > 0) std::fprintf(f, "  ky %d\n", p.ky);
-    std::fprintf(f, "  policy %s\n", route_policy_name(p.policy));
-    if (p.request_vcs > 0) std::fprintf(f, "  request-vcs %d\n", p.request_vcs);
-    if (p.response_vcs > 0)
-      std::fprintf(f, "  response-vcs %d\n", p.response_vcs);
-    if (!p.gating) std::fprintf(f, "  gating off\n");
-    if (p.step_threads > 1)
-      std::fprintf(f, "  step-threads %d\n", p.step_threads);
-    std::fprintf(f, "  workload %s\n", workload_kind_name(p.workload));
-    std::fprintf(f, "  pattern %s\n", traffic_pattern_name(p.pattern));
-    std::fprintf(f, "  offered %.17g\n", p.offered);
-    if (p.identical_prbs) std::fprintf(f, "  identical-prbs on\n");
-    std::fprintf(f, "  seed %" PRIu64 "\n", p.seed);
-    if (p.workload == WorkloadKind::ClosedLoop) {
-      std::fprintf(f, "  mshr-window %d\n", p.mshr_window);
-      std::fprintf(f, "  issue-prob %.17g\n", p.issue_prob);
-      std::fprintf(f, "  directory-latency %" PRId64 "\n",
-                   p.directory_latency);
-      std::fprintf(f, "  think-time %" PRId64 "\n", p.think_time);
-    }
-    if (p.fault_links > 0 || p.fault_degrade > 0) {
-      std::fprintf(f, "  fault-links %d\n", p.fault_links);
-      std::fprintf(f, "  fault-degrade %d\n", p.fault_degrade);
-      std::fprintf(f, "  fault-seed %" PRIu64 "\n", p.fault_seed);
-      std::fprintf(f, "  fault-kill-at %" PRId64 "\n", p.fault_kill_at);
-      std::fprintf(f, "  fault-revive-after %" PRId64 "\n",
-                   p.fault_revive_after);
-    }
-    if (p.telemetry) {
-      std::fprintf(f, "  telemetry on\n");
-      if (p.telemetry_sample_every > 0)
-        std::fprintf(f, "  telemetry-sample-every %" PRId64 "\n",
-                     p.telemetry_sample_every);
-    }
-    if (p.warmup > 0) std::fprintf(f, "  warmup %" PRId64 "\n", p.warmup);
-    if (p.window > 0) std::fprintf(f, "  window %" PRId64 "\n", p.window);
-    if (!p.trace_from.empty())
-      std::fprintf(f, "  trace-from %s\n", p.trace_from.c_str());
-    std::fprintf(f, "end\n");
-  }
-  return std::fclose(f) == 0;
-}
-
 namespace {
 
-struct ParseCtx {
-  const std::string& path;
-  int line = 0;
-  std::string* error;
+constexpr char kHeader[] = "# noc-campaign v1";
 
-  std::shared_ptr<Manifest> fail(const std::string& what) const {
-    if (error != nullptr)
-      *error = path + ":" + std::to_string(line) + ": " + what;
-    return nullptr;
-  }
-};
+// `name value` lines, one per field of `obj` that differs from its default.
+template <typename Fields, typename Obj>
+void append_fields(std::string& out, const Fields& fields, const Obj& obj,
+                   const char* indent) {
+  const Obj dflt{};
+  fields([&](const char* name, auto member, double, double) {
+    if (obj.*member != dflt.*member)
+      out.append(indent).append(name).append(" ")
+          .append(to_text(obj.*member)).append("\n");
+  });
+}
 
-bool parse_on_off(const std::string& v, bool* out) {
-  if (v == "on" || v == "true" || v == "1") return *out = true, true;
-  if (v == "off" || v == "false" || v == "0") return *out = false, true;
-  return false;
+// Sets the field of `obj` that `kw` names; "" on success, else why not.
+template <typename Fields, typename Obj>
+std::string set_field(const Fields& fields, Obj& obj, const std::string& kw,
+                      const std::string& val, const char* scope) {
+  std::string err = std::string("unknown ") + scope + " keyword '" + kw + "'";
+  fields([&](const char* name, auto member, double, double) {
+    using T = std::remove_cvref_t<decltype(obj.*member)>;
+    if (kw != name) return;
+    err.clear();
+    if (from_text(val, &(obj.*member))) return;
+    err = "'" + kw + "' cannot be '" + val + "'";
+    if constexpr (std::is_same_v<T, bool>) err += " (on|off)";
+    if constexpr (kIsNumber<T>) err += " (one number that fits the field)";
+  });
+  return err;
 }
 
 }  // namespace
 
+bool save_manifest(const std::string& path, const Manifest& m) {
+  std::string out = std::string(kHeader) + "\ncampaign " + m.name + "\n";
+  append_fields(out, kDefaultFields, m, "");
+  for (const CampaignPoint& p : m.points) {
+    out += "\npoint " + p.id + "\n";
+    append_fields(out, kPointFields, p, "  ");
+    out += "end\n";
+  }
+  return json::write_file(path, out);
+}
+
 std::shared_ptr<Manifest> load_manifest(const std::string& path,
                                         std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ParseCtx ctx{path, 0, error};
-  if (f == nullptr) return ctx.fail("cannot open manifest");
+  int line_no = 0;
+  const auto fail = [&](const std::string& what) {
+    if (error != nullptr)
+      *error = path + (line_no > 0 ? ":" + std::to_string(line_no) : "") +
+               ": " + what;
+    return std::shared_ptr<Manifest>();
+  };
+  std::istringstream in(json::read_file(path));
+  std::string line;
+  if (!std::getline(in, line)) return fail("cannot read manifest");
+  line_no = 1;
+  if (line.rfind(kHeader, 0) != 0)
+    return fail(std::string("missing '") + kHeader + "' header");
   auto m = std::make_shared<Manifest>();
   CampaignPoint* cur = nullptr;
-  bool saw_header = false;
-  char buf[512];
-  while (std::fgets(buf, sizeof buf, f) != nullptr) {
-    ++ctx.line;
-    std::string line(buf);
-    if (!saw_header) {
-      if (line.rfind("# noc-campaign v1", 0) != 0) {
-        std::fclose(f);
-        return ctx.fail("missing '# noc-campaign v1' header");
-      }
-      saw_header = true;
-      continue;
-    }
+  while (std::getline(in, line)) {
+    ++line_no;
     std::istringstream is(line);
     std::string kw;
     if (!(is >> kw) || kw[0] == '#') continue;
     std::string val;
     std::getline(is >> std::ws, val);
-    while (!val.empty() && (val.back() == '\n' || val.back() == '\r' ||
-                            val.back() == ' ' || val.back() == '\t'))
+    while (!val.empty() && std::isspace(static_cast<unsigned char>(val.back())))
       val.pop_back();
-    auto fail = [&](const std::string& what) {
-      std::fclose(f);
-      return ctx.fail(what);
-    };
-    bool number_ok = true;
-    auto num = [&](auto* field) { number_ok = parse_number(val, field); };
+    std::string err;
     if (cur == nullptr) {
       if (kw == "campaign") {
         m->name = val;
-      } else if (kw == "warmup") {
-        num(&m->default_warmup);
-      } else if (kw == "window") {
-        num(&m->default_window);
       } else if (kw == "point") {
-        m->points.emplace_back();
-        cur = &m->points.back();
+        cur = &m->points.emplace_back();
         cur->id = val;
       } else {
-        return fail("unknown campaign-level keyword '" + kw + "'");
+        err = set_field(kDefaultFields, *m, kw, val, "campaign-level");
       }
-    } else if (kw == "end") {  // point-stanza keywords from here on
+    } else if (kw == "end") {
       cur = nullptr;
-    } else if (kw == "kind") {
-      auto k = parse_point_kind(val);
-      if (!k) return fail("unknown point kind '" + val + "'");
-      cur->kind = *k;
-    } else if (kw == "pipeline") {
-      auto p = parse_pipeline_preset(val);
-      if (!p) return fail("unknown pipeline preset '" + val + "'");
-      cur->pipeline = *p;
-    } else if (kw == "k") {
-      num(&cur->k);
-    } else if (kw == "ky") {
-      num(&cur->ky);
-    } else if (kw == "policy") {
-      auto p = parse_route_policy(val);
-      if (!p) return fail("unknown routing policy '" + val + "'");
-      cur->policy = *p;
-    } else if (kw == "request-vcs") {
-      num(&cur->request_vcs);
-    } else if (kw == "response-vcs") {
-      num(&cur->response_vcs);
-    } else if (kw == "gating") {
-      if (!parse_on_off(val, &cur->gating))
-        return fail("gating must be on|off");
-    } else if (kw == "step-threads") {
-      num(&cur->step_threads);
-    } else if (kw == "workload") {
-      if (val == workload_kind_name(WorkloadKind::OpenLoop) ||
-          val == "open") {
-        cur->workload = WorkloadKind::OpenLoop;
-      } else if (val == workload_kind_name(WorkloadKind::ClosedLoop) ||
-                 val == "closed") {
-        cur->workload = WorkloadKind::ClosedLoop;
-      } else if (val == workload_kind_name(WorkloadKind::Trace)) {
-        cur->workload = WorkloadKind::Trace;
-      } else {
-        return fail("unknown workload '" + val + "'");
-      }
-    } else if (kw == "pattern") {
-      auto p = parse_traffic_pattern(val);
-      if (!p) return fail("unknown traffic pattern '" + val + "'");
-      cur->pattern = *p;
-    } else if (kw == "offered") {
-      num(&cur->offered);
-    } else if (kw == "identical-prbs") {
-      if (!parse_on_off(val, &cur->identical_prbs))
-        return fail("identical-prbs must be on|off");
-    } else if (kw == "seed") {
-      num(&cur->seed);
-    } else if (kw == "mshr-window") {
-      num(&cur->mshr_window);
-    } else if (kw == "issue-prob") {
-      num(&cur->issue_prob);
-    } else if (kw == "directory-latency") {
-      num(&cur->directory_latency);
-    } else if (kw == "think-time") {
-      num(&cur->think_time);
-    } else if (kw == "fault-links") {
-      num(&cur->fault_links);
-    } else if (kw == "fault-degrade") {
-      num(&cur->fault_degrade);
-    } else if (kw == "fault-seed") {
-      num(&cur->fault_seed);
-    } else if (kw == "fault-kill-at") {
-      num(&cur->fault_kill_at);
-    } else if (kw == "fault-revive-after") {
-      num(&cur->fault_revive_after);
-    } else if (kw == "telemetry") {
-      if (!parse_on_off(val, &cur->telemetry))
-        return fail("telemetry must be on|off");
-    } else if (kw == "telemetry-sample-every") {
-      num(&cur->telemetry_sample_every);
-    } else if (kw == "warmup") {
-      num(&cur->warmup);
-    } else if (kw == "window") {
-      num(&cur->window);
-    } else if (kw == "trace-from") {
-      cur->trace_from = val;
     } else {
-      return fail("unknown point keyword '" + kw + "'");
+      err = set_field(kPointFields, *cur, kw, val, "point");
     }
-    if (!number_ok)
-      return fail("'" + kw + "' needs a whole number that fits the field, "
-                  "got '" + val + "'");
+    if (!err.empty()) return fail(err);
   }
-  std::fclose(f);
   if (cur != nullptr) {
-    ctx.line += 1;
-    return ctx.fail("point '" + cur->id + "' not closed with 'end'");
+    ++line_no;
+    return fail("point '" + cur->id + "' not closed with 'end'");
   }
-  if (std::string err = validate_manifest(*m); !err.empty()) {
-    ctx.line = 0;
-    return ctx.fail(err);
-  }
+  line_no = 0;
+  if (std::string err = validate_manifest(*m); !err.empty()) return fail(err);
   return m;
 }
 

@@ -131,8 +131,10 @@ struct Manifest {
 };
 
 /// Empty string when the manifest is well-formed; else a printable
-/// diagnostic (duplicate/invalid ids, bad radix or VC bounds, replay points
-/// whose trace_from is missing or is not a capture point, ...).
+/// diagnostic (duplicate/invalid ids, a number outside its keyword's
+/// bounds, a resolved VC pool over kMaxTotalVcs, replay points whose
+/// trace_from is missing or is not a capture point, ...). A manifest that
+/// validates runs without tripping a Network precondition.
 std::string validate_manifest(const Manifest& m);
 
 /// Resolve a point to the exact NetworkConfig the harness will run. Replay
@@ -163,14 +165,15 @@ struct ResolvedPoint {
   int dep_index = -1;
 };
 
-/// Validate + resolve every point (captures first so dependency hashes
-/// exist). On error returns an empty vector and sets *error.
+/// Validate + resolve every point; a replay folds in its capture's hash.
+/// On error returns an empty vector and sets *error.
 std::vector<ResolvedPoint> resolve_manifest(const Manifest& m,
                                             std::string* error);
 
 /// Plain-text manifest file I/O ("# noc-campaign v1" header; docs/CAMPAIGN.md
-/// documents the stanza format). load returns nullptr and sets *error (when
-/// non-null) with a file:line diagnostic on failure.
+/// documents the stanza format). save writes the keys whose values differ
+/// from the defaults. load returns nullptr and sets *error (when non-null)
+/// on failure: a file:line diagnostic, or file: plus validate_manifest's.
 bool save_manifest(const std::string& path, const Manifest& m);
 std::shared_ptr<Manifest> load_manifest(const std::string& path,
                                         std::string* error = nullptr);

@@ -1,8 +1,6 @@
 #include "noc/telemetry.hpp"
 
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 
 #include "common/json.hpp"
 
@@ -146,23 +144,19 @@ bool Telemetry::write_timeseries_json(const std::string& path) const {
 
 bool Telemetry::write_stalls_csv(const std::string& path, int kx) const {
   NOC_EXPECTS(kx > 0);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("node,x,y", f);
+  std::string csv = "node,x,y";
   for (int c = 0; c < kNumStallClasses; ++c)
-    std::fprintf(f, ",%s", stall_class_name(static_cast<StallClass>(c)));
-  std::fputs("\n", f);
+    csv.append(",").append(stall_class_name(static_cast<StallClass>(c)));
+  csv += '\n';
   for (int n = 0; n < num_nodes_; ++n) {
-    std::fprintf(f, "%d,%d,%d", n, n % kx, n / kx);
+    csv += std::to_string(n) + ',' + std::to_string(n % kx) + ',' +
+           std::to_string(n / kx);
     for (int c = 0; c < kNumStallClasses; ++c)
-      std::fprintf(f, ",%" PRId64,
-                   stalls(static_cast<NodeId>(n),
-                          static_cast<StallClass>(c)));
-    std::fputs("\n", f);
+      csv += ',' + std::to_string(stalls(static_cast<NodeId>(n),
+                                         static_cast<StallClass>(c)));
+    csv += '\n';
   }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  return json::write_file(path, csv);
 }
 
 }  // namespace noc

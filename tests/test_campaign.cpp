@@ -7,7 +7,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +83,100 @@ Manifest tiny_ablation_manifest() {
   return m;
 }
 
+// The seven built-in grid variants behind the pinned hashes, in pin order.
+std::vector<std::pair<std::string, Manifest>> built_in_grids() {
+  return {{"design-space k=4", design_space_manifest(4)},
+          {"design-space k=8, 2 step threads", design_space_manifest(8, 2)},
+          {"large-k", large_k_manifest(false)},
+          {"large-k --short", large_k_manifest(true)},
+          {"smoke", smoke_manifest()},
+          {"trace-ablation k=4", trace_ablation_manifest(4)},
+          {"trace-ablation k=16", trace_ablation_manifest(16)}};
+}
+
+std::string fnv1a_hex(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+// Every CampaignPoint member, for whole-point comparisons.
+auto point_fields(const CampaignPoint& p) {
+  return std::tie(p.id, p.kind, p.pipeline, p.k, p.ky, p.policy,
+                  p.request_vcs, p.response_vcs, p.gating, p.step_threads,
+                  p.workload, p.pattern, p.offered, p.identical_prbs, p.seed,
+                  p.mshr_window, p.issue_prob, p.directory_latency,
+                  p.think_time, p.fault_links, p.fault_degrade, p.fault_seed,
+                  p.fault_kill_at, p.fault_revive_after, p.telemetry,
+                  p.telemetry_sample_every, p.warmup, p.window, p.trace_from);
+}
+
+// Every keyword off its default: an open-loop capture sets all but
+// workload and trace-from, and a replay of it on the same mesh sets those
+// two.
+Manifest every_keyword_manifest() {
+  Manifest m;
+  m.name = "every-keyword";
+  m.default_warmup = 123;
+  m.default_window = 456;
+  CampaignPoint cap;
+  cap.id = "capture/open";
+  cap.kind = PointKind::Capture;
+  cap.pipeline = PipelinePreset::Baseline4;
+  cap.k = 6;
+  cap.ky = 3;
+  cap.policy = RoutePolicy::O1Turn;
+  cap.request_vcs = 6;
+  cap.response_vcs = 4;
+  cap.gating = false;
+  cap.step_threads = 2;
+  cap.pattern = TrafficPattern::BitComplement;
+  cap.offered = 0.25;
+  cap.identical_prbs = true;
+  cap.seed = 9;
+  cap.mshr_window = 8;
+  cap.issue_prob = 0.5;
+  cap.directory_latency = 3;
+  cap.think_time = 1;
+  cap.fault_links = 2;
+  cap.fault_degrade = 1;
+  cap.fault_seed = 5;
+  cap.fault_kill_at = 100;
+  cap.fault_revive_after = 50;
+  cap.telemetry = true;
+  cap.telemetry_sample_every = 25;
+  cap.warmup = 300;
+  cap.window = 700;
+  m.points.push_back(cap);
+  CampaignPoint rep;
+  rep.id = "replay/proposed";
+  rep.kind = PointKind::Replay;
+  rep.k = cap.k;
+  rep.ky = cap.ky;
+  rep.workload = WorkloadKind::Trace;
+  rep.trace_from = cap.id;
+  m.points.push_back(rep);
+  return m;
+}
+
+// Header and an open `point p` stanza (lines 1-3) for load tests.
+const std::string kOnePoint = "# noc-campaign v1\ncampaign t\npoint p\n";
+
+// Writes `text` to `path` and loads it: the manifest (or nullptr) and the
+// diagnostic.
+std::pair<std::shared_ptr<Manifest>, std::string> load_text(
+    const std::string& path, const std::string& text) {
+  std::ofstream(path) << text;
+  std::string err;
+  auto m = load_manifest(path, &err);
+  return {std::move(m), err};
+}
+
 }  // namespace
 
 TEST(CampaignManifest, SameManifestResolvesToIdenticalHashes) {
@@ -97,28 +194,34 @@ TEST(CampaignManifest, SameManifestResolvesToIdenticalHashes) {
   }
 }
 
-TEST(CampaignManifest, FileRoundTripPreservesHashes) {
-  const Manifest m = smoke_manifest();
-  const std::string path = ::testing::TempDir() + "campaign_roundtrip.campaign";
-  ASSERT_TRUE(save_manifest(path, m));
-  std::string err;
-  const auto loaded = load_manifest(path, &err);
-  ASSERT_NE(loaded, nullptr) << err;
-  EXPECT_EQ(loaded->name, m.name);
-  const auto pa = resolve_manifest(m, &err);
-  const auto pb = resolve_manifest(*loaded, &err);
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i].point->id, pb[i].point->id);
-    EXPECT_EQ(pa[i].hash, pb[i].hash) << pa[i].point->id;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CampaignManifest, SmokeGridHashesAreByteStable) {
+TEST(CampaignManifest, BuiltInGridHashesAreByteStable) {
   // Result stores key records by these hashes, so the canonical key must
-  // not move across builds. The smoke grid covers all four point kinds,
-  // the MixedPaper fractions and the closed-loop response length.
+  // not move across builds. Per grid variant: FNV-1a-64 over its points'
+  // hashes concatenated in manifest order.
+  const char* const pins[] = {"819fb9e4aede66de", "9db0108008de4e2e",
+                              "9e51b61e09933545", "480ad590eb4c469f",
+                              "6ab6ed29bf1cb485", "a4b29ca1ed7cb637",
+                              "f4977ad28ba34b75"};
+  const auto grids = built_in_grids();
+  ASSERT_EQ(grids.size(), std::size(pins));
+  std::string all;
+  size_t num_points = 0;
+  for (size_t g = 0; g < grids.size(); ++g) {
+    std::string err;
+    const auto points = resolve_manifest(grids[g].second, &err);
+    ASSERT_FALSE(points.empty()) << grids[g].first << ": " << err;
+    std::string hashes;
+    for (const auto& p : points) hashes += p.hash;
+    EXPECT_EQ(fnv1a_hex(hashes), pins[g]) << grids[g].first;
+    all += hashes;
+    num_points += points.size();
+  }
+  EXPECT_EQ(num_points, 110u);
+  EXPECT_EQ(fnv1a_hex(all), "76b775f81939d1fd");
+
+  // The smoke grid covers all four point kinds, the MixedPaper fractions
+  // and the closed-loop response length; its per-point hashes name the
+  // point that moved.
   const std::pair<const char*, const char*> golden[] = {
       {"measure/k=2", "b04f0f3cfe87a109"},
       {"measure/k=4-mixed", "c7b1c053f2b8f831"},
@@ -127,14 +230,57 @@ TEST(CampaignManifest, SmokeGridHashesAreByteStable) {
       {"replay/baseline3", "b8027af5316e8973"},
       {"replay/baseline4", "090614b48e60c59e"},
   };
-  const Manifest m = smoke_manifest();
+  const Manifest smoke = smoke_manifest();
   std::string err;
-  const auto points = resolve_manifest(m, &err);
+  const auto points = resolve_manifest(smoke, &err);
   ASSERT_EQ(points.size(), std::size(golden)) << err;
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(points[i].point->id, golden[i].first);
     EXPECT_EQ(points[i].hash, golden[i].second) << points[i].key;
   }
+}
+
+TEST(CampaignManifest, FileRoundTripKeepsEveryFieldAndHash) {
+  // Every built-in grid, plus one manifest that moves every keyword off its
+  // default -- including closed-loop knobs on an open-loop point, which
+  // feed the key even though that point never reads them.
+  auto manifests = built_in_grids();
+  manifests.emplace_back("every keyword", every_keyword_manifest());
+  const std::string path = ::testing::TempDir() + "campaign_roundtrip.campaign";
+  for (const auto& [name, m] : manifests) {
+    ASSERT_TRUE(save_manifest(path, m)) << name;
+    const std::string text = json::read_file(path);
+    std::string err;
+    const auto loaded = load_manifest(path, &err);
+    ASSERT_NE(loaded, nullptr) << name << ": " << err;
+    EXPECT_EQ(loaded->name, m.name);
+    EXPECT_EQ(loaded->default_warmup, m.default_warmup) << name;
+    EXPECT_EQ(loaded->default_window, m.default_window) << name;
+    ASSERT_EQ(loaded->points.size(), m.points.size()) << name;
+    for (size_t i = 0; i < m.points.size(); ++i)
+      EXPECT_TRUE(point_fields(loaded->points[i]) == point_fields(m.points[i]))
+          << name << ": " << m.points[i].id;
+    const auto pa = resolve_manifest(m, &err);
+    const auto pb = resolve_manifest(*loaded, &err);
+    ASSERT_EQ(pa.size(), pb.size()) << name << ": " << err;
+    for (size_t i = 0; i < pa.size(); ++i)
+      EXPECT_EQ(pa[i].hash, pb[i].hash) << name << ": " << pa[i].point->id;
+    // The second trip writes the same bytes.
+    ASSERT_TRUE(save_manifest(path, *loaded)) << name;
+    EXPECT_EQ(json::read_file(path), text) << name;
+  }
+  // Only non-default keys are written: the every-keyword manifest's first
+  // point sets all of them but workload and trace-from.
+  const std::string text = json::read_file(path);
+  const size_t first = text.find("\npoint ");
+  const size_t end = text.find("\nend\n", first);
+  ASSERT_NE(end, std::string::npos) << text;
+  size_t keyword_lines = 0;
+  for (size_t i = text.find("\n  ", first); i < end;
+       i = text.find("\n  ", i + 1))
+    ++keyword_lines;
+  EXPECT_EQ(keyword_lines, 26u) << text;
+  std::remove(path.c_str());
 }
 
 TEST(CampaignManifest, MalformedNumbersFailWithFileAndLine) {
@@ -172,6 +318,77 @@ TEST(CampaignManifest, MalformedNumbersFailWithFileAndLine) {
     const char* line = campaign_line == "window 500" ? ":6: " : ":3: ";
     EXPECT_EQ(err.rfind(path + line, 0), 0u) << err;
   }
+  std::remove(path.c_str());
+}
+
+TEST(CampaignManifest, ValuesThatWouldAbortARunFailToLoad) {
+  // Each of these once loaded -- `campaign status` accepted it -- and then
+  // aborted `campaign run` or simulated another mesh than it hashed.
+  const std::string path = ::testing::TempDir() + "campaign_bounds.campaign";
+  const std::pair<const char*, const char*> bad[] = {
+      {"offered -0.1", "offered"},
+      {"request-vcs 20", "request-vcs"},
+      {"request-vcs 15", "request-vcs"},  // + the preset's 2 response VCs
+      {"ky -3", "ky"},
+      // Patterns that index the mesh as k x k.
+      {"ky 2\n  pattern tornado", "pattern"},
+      {"ky 2\n  pattern transpose", "pattern"},
+      {"ky 2\n  pattern nearest-neighbor", "pattern"},
+  };
+  for (const auto& [line, keyword] : bad) {
+    const auto [m, err] = load_text(path, kOnePoint + "  " + line + "\nend\n");
+    EXPECT_EQ(m, nullptr) << line;
+    EXPECT_EQ(err.rfind(path + ":", 0), 0u) << err;
+    EXPECT_NE(err.find("point 'p'"), std::string::npos) << err;
+    EXPECT_NE(err.find(std::string("'") + keyword + "'"), std::string::npos)
+        << err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CampaignManifest, ReplayOnAnotherMeshFailsToLoad) {
+  // The trace carries its capture's geometry, so such a replay could only
+  // fail after its capture had run.
+  const std::string path = ::testing::TempDir() + "campaign_mesh.campaign";
+  const auto [m, err] =
+      load_text(path, kOnePoint + "  kind capture\nend\n"
+                                  "point r\n  kind replay\n  k 8\n"
+                                  "  trace-from p\nend\n");
+  EXPECT_EQ(m, nullptr);
+  EXPECT_EQ(err.rfind(path + ": point 'r': ", 0), 0u) << err;
+  std::remove(path.c_str());
+}
+
+TEST(CampaignManifest, UnknownNamesFailWithTheirKeyword) {
+  const std::string path = ::testing::TempDir() + "campaign_names.campaign";
+  const std::pair<const char*, const char*> bad[] = {
+      {"kind sometimes", "kind"},   {"pipeline 5-stage", "pipeline"},
+      {"policy zigzag", "policy"},  {"workload batch", "workload"},
+      {"pattern spiral", "pattern"}, {"gating maybe", "gating"},
+  };
+  for (const auto& [line, keyword] : bad) {
+    const auto [m, err] = load_text(path, kOnePoint + "  " + line + "\nend\n");
+    EXPECT_EQ(m, nullptr) << line;
+    EXPECT_EQ(err.rfind(path + ":4: ", 0), 0u) << err;
+    EXPECT_NE(err.find(std::string("'") + keyword + "'"), std::string::npos)
+        << err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CampaignManifest, LongLinesKeepTheirLineNumbers) {
+  // A line longer than any fixed read buffer is still one line: a long
+  // comment loads, and an error after it names its true line.
+  const std::string path = ::testing::TempDir() + "campaign_long.campaign";
+  const std::string comment = "# " + std::string(600, 'x') + "\n";
+  const auto [good, good_err] =
+      load_text(path, kOnePoint + comment + "  offered 0.05\nend\n");
+  ASSERT_NE(good, nullptr) << good_err;
+  EXPECT_EQ(good->points[0].offered, 0.05);
+  const auto [bad, bad_err] =
+      load_text(path, kOnePoint + comment + "  offered 0.05x\nend\n");
+  EXPECT_EQ(bad, nullptr);
+  EXPECT_EQ(bad_err.rfind(path + ":5: ", 0), 0u) << bad_err;
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,8 @@
-// CliArgs numeric flags (common/cli.hpp): a value that does not parse as a
-// whole, finite, in-range number must stop the run with a message instead of
-// saturating, truncating or passing NaN into a config.
+// CliArgs numeric flags (common/cli.hpp) and the shared bench/example flag
+// helpers (noc/experiment.hpp): a value that does not parse as a whole,
+// finite, in-range number, or lies outside the field's bounds, must stop the
+// run with a message instead of saturating, truncating or passing NaN into a
+// config.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "noc/experiment.hpp"
 
 namespace noc {
 namespace {
@@ -83,6 +86,29 @@ TEST(CliArgsDeathTest, TrailingJunkAndMissingValuesExit) {
               "invalid value for --warmup");
   EXPECT_EXIT(args.get_int("threads", 1), ::testing::ExitedWithCode(1),
               "invalid value for --threads");
+}
+
+TEST(CliArgsDeathTest, MeshRadixOutOfRangeExits) {
+  Argv big{"--k", "99"};
+  EXPECT_EXIT(cli_mesh_radix(big.parse(), 4), ::testing::ExitedWithCode(1),
+              "invalid --k 99");
+  Argv small{"--k", "1"};
+  EXPECT_EXIT(cli_mesh_radix(small.parse(), 4), ::testing::ExitedWithCode(1),
+              "invalid --k 1");
+}
+
+TEST(CliArgsDeathTest, NegativeWarmupOrEmptyWindowExits) {
+  const MeasureOptions defaults;
+  Argv warmup{"--warmup", "-1"};
+  EXPECT_EXIT(cli_measure_options(warmup.parse(), defaults),
+              ::testing::ExitedWithCode(1), "invalid --warmup -1");
+  Argv window{"--window", "0"};
+  EXPECT_EXIT(cli_measure_options(window.parse(), defaults),
+              ::testing::ExitedWithCode(1), "invalid --window 0");
+  Argv zero_warmup{"--warmup", "0", "--window", "1"};
+  const MeasureOptions opt = cli_measure_options(zero_warmup.parse(), defaults);
+  EXPECT_EQ(opt.warmup, 0);
+  EXPECT_EQ(opt.window, 1);
 }
 
 }  // namespace

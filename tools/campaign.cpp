@@ -28,6 +28,7 @@
 #include "campaign/grids.hpp"
 #include "campaign/runner.hpp"
 #include "common/cli.hpp"
+#include "common/json.hpp"
 
 using namespace noc;
 using namespace noc::campaign;
@@ -66,7 +67,7 @@ bool build_manifest(const CliArgs& args, const std::string& path,
                     Manifest* out) {
   const std::string grid = args.get_str("grid", "");
   if (!grid.empty()) {
-    const int k = static_cast<int>(args.get_int("k", 4));
+    const int k = cli_mesh_radix(args, 4);
     const int step_threads = cli_step_threads(args);
     if (grid == "design-space") {
       *out = design_space_manifest(k, step_threads);
@@ -216,22 +217,18 @@ int cmd_clean(const Manifest& m, const ResultStore& store,
 }
 
 bool write_links_csv(const std::string& path, const Network& net) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("node,x,y,east,west,north,south,local\n", f);
+  std::string csv = "node,x,y,east,west,north,south,local\n";
   const MeshGeometry& g = net.geom();
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     const Coord c = g.coord(n);
-    std::fprintf(f, "%d,%d,%d", n, c.x, c.y);
+    csv += std::to_string(n) + ',' + std::to_string(c.x) + ',' +
+           std::to_string(c.y);
     for (PortDir p : {PortDir::East, PortDir::West, PortDir::North,
                       PortDir::South, PortDir::Local})
-      std::fprintf(f, ",%lld",
-                   static_cast<long long>(net.metrics().link_flits(n, p)));
-    std::fputs("\n", f);
+      csv += ',' + std::to_string(net.metrics().link_flits(n, p));
+    csv += '\n';
   }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  return json::write_file(path, csv);
 }
 
 /// One instrumented 8x8 adaptive run with a mid-run link kill: the
@@ -243,8 +240,8 @@ int cmd_telemetry(const CliArgs& args) {
   const int k = cli_mesh_radix(args, 8);
   const std::string dir = args.get_str("out-dir", "telemetry-out");
   const double offered = args.get_double("offered", 0.15);
-  const Cycle warmup = args.get_int("warmup", 2000);
-  const Cycle window = args.get_int("window", 6000);
+  const auto [warmup, window] =
+      cli_measure_options(args, {.warmup = 2000, .window = 6000});
   const Cycle sample_every = args.get_int("sample-every", 50);
   const auto trace_every =
       static_cast<uint64_t>(args.get_int("trace-every", 64));
