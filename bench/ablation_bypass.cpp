@@ -1,8 +1,7 @@
-// Ablation bench (DESIGN.md Sec 6): isolates the contribution of each
-// microarchitectural choice the paper's design bundles together --
-// lookahead bypass, partial multicast bypass, lookahead priority, the
-// identical-PRBS artifact, and the VC organization around the paper's
-// 4x1 REQ + 2x3 RESP design point.
+// Ablation bench: isolates the contribution of each microarchitectural
+// choice the paper's design bundles together -- lookahead bypass, partial
+// multicast bypass, lookahead priority, the identical-PRBS artifact, and
+// the VC organization around the paper's 4x1 REQ + 2x3 RESP design point.
 #include <cstdio>
 
 #include "common/table.hpp"

@@ -1,6 +1,6 @@
 // Regenerates Table 1: theoretical limits of a k x k mesh NoC for unicast
 // and broadcast traffic, as printed, plus the exact enumerated cross-checks
-// discussed in DESIGN.md.
+// discussed in theory/mesh_limits.hpp.
 #include <cstdio>
 
 #include "common/table.hpp"

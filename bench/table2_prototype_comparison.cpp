@@ -48,8 +48,8 @@ int main() {
       "  zero-load broadcast: 120.5 / 77.5 / 86 / 11.5 / 5.5 cycles\n"
       "  bisection bandwidth: 1560 / 937.5 / 112.5 / 512 / 256 Gb/s\n"
       "  channel load uni/bc: 64R,4096R / 64R,4096R / 64R,4096R / 64R,64R / 16R,16R\n"
-      "Known deviations (DESIGN.md): TILE64 broadcast 80.25 vs 77.5 (we model\n"
-      "1.5 cycles/hop uniformly) and TILE64 bisection 960 vs 937.5 (we use the\n"
+      "Known deviations: TILE64 broadcast 80.25 vs 77.5 (we model 1.5\n"
+      "cycles/hop uniformly) and TILE64 bisection 960 vs 937.5 (we use the\n"
       "nominal 750 MHz clock).\n");
   return 0;
 }

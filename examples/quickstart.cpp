@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   cfg.router.routing = cli_route_policy(args, RoutePolicy::XY);
   cfg.step_threads = cli_step_threads(args);
   cfg.traffic.pattern = TrafficPattern::MixedPaper;  // Fig 5's traffic
-  cfg.traffic.offered_flits_per_node_cycle = args.get_double("load", 0.10);
+  cfg.traffic.offered_flits_per_node_cycle =
+      args.get_at_least("load", 0.10, 0.0);
   if (const std::string p = args.get_str("pattern", ""); !p.empty()) {
     const auto parsed = parse_traffic_pattern(p);
     if (!parsed) {

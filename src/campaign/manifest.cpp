@@ -258,12 +258,9 @@ std::string validate_manifest(const Manifest& m) {
         return point_error(p, err);
     }
     if (cfg.workload.kind == WorkloadKind::OpenLoop && cfg.ky > 0 &&
-        cfg.ky != cfg.k &&
-        (cfg.traffic.pattern == TrafficPattern::Transpose ||
-         cfg.traffic.pattern == TrafficPattern::Tornado ||
-         cfg.traffic.pattern == TrafficPattern::NearestNeighbor))
-      return point_error(p, "'pattern' " + to_text(cfg.traffic.pattern) +
-                                " needs a square mesh ('ky' 0 or 'k')");
+        cfg.ky != cfg.k && cfg.traffic.pattern == TrafficPattern::Transpose)
+      return point_error(p, "'pattern' transpose needs a square mesh "
+                            "('ky' 0 or 'k')");
     if (cfg.router.vc.total_vcs() > kMaxTotalVcs)
       return point_error(p, "'request-vcs' + 'response-vcs' give " +
                                 std::to_string(cfg.router.vc.total_vcs()) +

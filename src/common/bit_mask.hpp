@@ -52,20 +52,6 @@ class BitMask {
     return m;
   }
 
-  /// Mask with the lowest `n` bits set.
-  static constexpr BitMask first_n(int n) {
-    NOC_EXPECTS(n >= 0 && n <= kBits);
-    BitMask m;
-    for (int w = 0; w < kWords; ++w) {
-      const int low = w * 64;
-      if (n >= low + 64)
-        m.w_[w] = ~uint64_t{0};
-      else if (n > low)
-        m.w_[w] = (uint64_t{1} << (n - low)) - 1;
-    }
-    return m;
-  }
-
   constexpr bool test(int n) const {
     NOC_EXPECTS(n >= 0 && n < kBits);
     return (w_[word_of(n)] & bit_of(n)) != 0;

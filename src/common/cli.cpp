@@ -81,6 +81,13 @@ T parse_or_exit(const std::string& flag, const std::string& value) {
   }
   return v;
 }
+
+std::string number_text(int64_t v) { return std::to_string(v); }
+std::string number_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
 }  // namespace
 
 int64_t CliArgs::get_int(const std::string& flag, int64_t dflt) const {
@@ -92,6 +99,23 @@ double CliArgs::get_double(const std::string& flag, double dflt) const {
   const Flag* f = find(flag);
   return f == nullptr ? dflt : parse_or_exit<double>(f->name, f->value);
 }
+
+template <typename T>
+T CliArgs::get_at_least(const std::string& flag, T dflt, T lo) const {
+  const Flag* f = find(flag);
+  const T v = f == nullptr ? dflt : parse_or_exit<T>(f->name, f->value);
+  if (v < lo) {
+    std::fprintf(stderr, "invalid --%s %s: need >= %s\n",
+                 strip_dashes(flag).c_str(), number_text(v).c_str(),
+                 number_text(lo).c_str());
+    std::exit(1);
+  }
+  return v;
+}
+template int64_t CliArgs::get_at_least(const std::string&, int64_t,
+                                       int64_t) const;
+template double CliArgs::get_at_least(const std::string&, double,
+                                      double) const;
 
 std::string CliArgs::get_str(const std::string& flag,
                              const std::string& dflt) const {
@@ -111,15 +135,8 @@ bool CliArgs::check_unused() const {
 }
 
 int cli_step_threads(const CliArgs& args, int dflt) {
-  const int64_t t = args.get_int("step-threads", dflt);
-  if (t < 1) {
-    std::fprintf(stderr,
-                 "invalid --step-threads %lld: need >= 1 "
-                 "(1 = serial stepping)\n",
-                 static_cast<long long>(t));
-    std::exit(1);
-  }
-  return static_cast<int>(t);
+  return static_cast<int>(
+      args.get_at_least<int64_t>("step-threads", dflt, 1));
 }
 
 }  // namespace noc

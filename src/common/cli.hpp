@@ -22,6 +22,10 @@ class CliArgs {
   int64_t get_int(const std::string& flag, int64_t dflt) const;
   double get_double(const std::string& flag, double dflt) const;
   std::string get_str(const std::string& flag, const std::string& dflt) const;
+  /// A numeric flag (T = int64_t or double) that must be >= `lo`; a lower
+  /// value exits 1 with `invalid --FLAG V: need >= LO`.
+  template <typename T>
+  T get_at_least(const std::string& flag, T dflt, T lo) const;
 
   /// --help / -h was passed.
   bool help() const { return help_; }

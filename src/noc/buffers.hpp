@@ -134,7 +134,7 @@ using BranchList = InlineVec<Branch, kNumPorts + 1>;
 
 /// State of one input VC: the flit FIFO plus the active packet's branch
 /// bookkeeping. The branch state is also used by fully-bypassed packets
-/// whose flits never enter the FIFO (DESIGN.md Sec 3).
+/// whose flits never enter the FIFO.
 class InputVc {
  public:
   void configure(int depth) {

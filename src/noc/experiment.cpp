@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <tuple>
 
 #include "common/cli.hpp"
 #include "common/units.hpp"
@@ -248,18 +247,10 @@ std::vector<PointResult> ExperimentRunner::window_sweep(
 
 MeasureOptions cli_measure_options(const CliArgs& args,
                                    const MeasureOptions& defaults) {
-  MeasureOptions opt;
-  opt.warmup = args.get_int("warmup", defaults.warmup);
-  opt.window = args.get_int("window", defaults.window);
   // The same bounds manifests hold their measurement defaults to.
-  for (const auto& [flag, v, lo] : {std::tuple{"warmup", opt.warmup, 0},
-                                    std::tuple{"window", opt.window, 1}}) {
-    if (v < lo) {
-      std::fprintf(stderr, "invalid --%s %lld: need >= %d\n", flag,
-                   static_cast<long long>(v), lo);
-      std::exit(1);
-    }
-  }
+  MeasureOptions opt;
+  opt.warmup = args.get_at_least<int64_t>("warmup", defaults.warmup, 0);
+  opt.window = args.get_at_least<int64_t>("window", defaults.window, 1);
   return opt;
 }
 

@@ -48,11 +48,11 @@ using PacketId = uint64_t;
 struct Flit {
   /// Destinations THIS copy is responsible for (1 bit for unicast; the
   /// packet's full set at injection). On a multicast fork each branch copy
-  /// receives a disjoint partition, so no node is delivered to twice
-  /// (DESIGN.md Sec 3). This is the only destination field a flit carries
-  /// -- matching the hardware, whose head flit holds one mask that each
-  /// router rewrites at a fork; the packet-level full set lives in
-  /// Packet::dest_mask (docs/SCALING.md).
+  /// receives a disjoint partition, so no node is delivered to twice. This
+  /// is the only destination field a flit carries -- matching the
+  /// hardware, whose head flit holds one mask that each router rewrites at
+  /// a fork; the packet-level full set lives in Packet::dest_mask
+  /// (docs/SCALING.md).
   DestMask branch_mask;
   /// Logical packet this flit belongs to: the packet's own id, except for
   /// NIC-duplicated broadcast copies, which share the original broadcast's

@@ -41,7 +41,7 @@ class MeshGeometry {
   MeshGeometry(int kx, int ky);
 
   /// Radix of a SQUARE mesh; asserts on rectangular geometries so square
-  /// assumptions (bisection cuts, Tornado wrap) cannot silently misapply.
+  /// assumptions (bisection cuts, transpose) cannot silently misapply.
   int k() const {
     NOC_EXPECTS(kx_ == ky_);
     return kx_;

@@ -155,46 +155,24 @@ Network::Network(const NetworkConfig& cfg)
   // inject phase, before the router pass). Wake bits live in the
   // receiver's span, so every mask write during a parallel step stays
   // worker-local.
-  //
-  // Per-port wake refinement (docs/PERF.md Layer 5): a channel toward
-  // router r arrives at exactly one input port, so its hook also ORs its
-  // own bit (kind, port) into r's wake word for the arrival cycle's parity
-  // -- the ticking router then sweeps only ports with work, and reads only
-  // channels that carry something. The channel and the words share r's
-  // span, so the raw-word OR stays worker-local.
-  using Arrival = Router::Arrival;
-  auto router_wake = [&](NodeId r, PortDir in_at_r, Arrival kind,
-                         int latency = 1) {
+  auto router_wake = [&](NodeId r, int latency = 1) {
     if (!gated) return WakeHook{};
     StepSpan& sp = span_of(r);
-    WakeHook h{latency == 0 ? &sp.router_awake : &sp.router_next, r};
-    if (cfg.router.port_gating) {
-      h.port_words = routers_[static_cast<size_t>(r)]->arm_port_wake();
-      h.port_bits = Router::arrival_bit(kind, in_at_r);
-    }
-    return h;
+    return WakeHook{latency == 0 ? &sp.router_awake : &sp.router_next, r};
   };
   // Router-to-router wiring. Each undirected edge gets one channel of each
   // kind per direction. We visit each edge once (East and North neighbors).
   auto wire_edge = [&](NodeId a, PortDir a_out, NodeId b) {
     const PortDir b_out = opposite(a_out);
-    auto* f_ab = make_channel(flit_channels_, 1, a, b,
-                              router_wake(b, b_out, Arrival::Flit));
-    auto* f_ba = make_channel(flit_channels_, 1, b, a,
-                              router_wake(a, a_out, Arrival::Flit));
+    auto* f_ab = make_channel(flit_channels_, 1, a, b, router_wake(b));
+    auto* f_ba = make_channel(flit_channels_, 1, b, a, router_wake(a));
     // a's inport -> b's outport, and b's inport -> a's outport
-    auto* c_ab = make_channel(credit_channels_, 1, a, b,
-                              router_wake(b, b_out, Arrival::Credit));
-    auto* c_ba = make_channel(credit_channels_, 1, b, a,
-                              router_wake(a, a_out, Arrival::Credit));
+    auto* c_ab = make_channel(credit_channels_, 1, a, b, router_wake(b));
+    auto* c_ba = make_channel(credit_channels_, 1, b, a, router_wake(a));
     LookaheadChannel* l_ab =
-        bypass ? make_channel(la_channels_, 1, a, b,
-                              router_wake(b, b_out, Arrival::Lookahead))
-               : nullptr;
+        bypass ? make_channel(la_channels_, 1, a, b, router_wake(b)) : nullptr;
     LookaheadChannel* l_ba =
-        bypass ? make_channel(la_channels_, 1, b, a,
-                              router_wake(a, a_out, Arrival::Lookahead))
-               : nullptr;
+        bypass ? make_channel(la_channels_, 1, b, a, router_wake(a)) : nullptr;
 
     Router::PortChannels pa;  // router a, port a_out
     pa.flit_out = f_ab;
@@ -230,18 +208,14 @@ Network::Network(const NetworkConfig& cfg)
     const WakeHook inject =
         gated ? WakeHook{&sp.inject_next, node} : WakeHook{};
     const WakeHook eject = gated ? WakeHook{&sp.eject_next, node} : WakeHook{};
-    auto* f_nr = make_channel(flit_channels_, 1, node, node,
-                              router_wake(node, PortDir::Local, Arrival::Flit));
+    auto* f_nr = make_channel(flit_channels_, 1, node, node, router_wake(node));
     auto* f_rn = make_channel(flit_channels_, 1, node, node, eject);
     // router local-in -> NIC, and NIC rx -> router local-out
     auto* c_rn = make_channel(credit_channels_, 1, node, node, inject);
-    auto* c_nr = make_channel(
-        credit_channels_, 1, node, node,
-        router_wake(node, PortDir::Local, Arrival::Credit));
+    auto* c_nr =
+        make_channel(credit_channels_, 1, node, node, router_wake(node));
     LookaheadChannel* l_nr =
-        bypass ? make_channel(
-                     la_channels_, 0, node, node,
-                     router_wake(node, PortDir::Local, Arrival::Lookahead, 0))
+        bypass ? make_channel(la_channels_, 0, node, node, router_wake(node, 0))
                : nullptr;
 
     Router::PortChannels pl;

@@ -43,55 +43,9 @@ bool Router::idle() const {
   return true;
 }
 
-PortMask Router::internal_work_ports() const {
-  // Collapse each port's 16-bit busy slice to one bit straight off the
-  // words (the generic extract() straddle logic is overkill for the fixed
-  // vc_bit layout), then consult the latch state only for non-busy ports --
-  // at saturation most ports are busy, skipping all ten struct loads.
-  static_assert(kMaxTotalVcs == 16 && kNumPorts == 5,
-                "slice constants below assume the vc_bit layout");
-  const uint64_t w0 = busy_.word(0);
-  uint64_t bits = 0;
-  if ((w0 & 0x000000000000FFFFull) != 0) bits |= 1u << 0;
-  if ((w0 & 0x00000000FFFF0000ull) != 0) bits |= 1u << 1;
-  if ((w0 & 0x0000FFFF00000000ull) != 0) bits |= 1u << 2;
-  if ((w0 & 0xFFFF000000000000ull) != 0) bits |= 1u << 3;
-  if ((busy_.word(1) & 0xFFFFull) != 0) bits |= 1u << 4;
-  PortMask m(bits);
-  for (int p = 0; p < kNumPorts; ++p) {
-    if (m.test(p)) continue;
-    const auto& ip = in_[static_cast<size_t>(p)];
-    if (ip.st.valid || ip.bypass.valid || ip.stage2_vc >= 0 ||
-        out_[static_cast<size_t>(p)].lt.has_value())
-      m.set(p);
-  }
-  return m;
-}
-
 void Router::tick(Cycle now) {
-  // Port-gated sweep set: carried-over work plus this cycle's deliveries.
-  // Every phase below only ever ACTS on a port in this set -- an excluded
-  // port has no arrivals (its channels' wake hooks would have set its bit),
-  // no latched state, and no busy VC, so each phase's body is a no-op for
-  // it. Skipping is therefore pure scheduling; per-policy equivalence
-  // tests pin the bit-identity (tests/test_gating_equivalence.cpp).
-  PortMask active = PortMask::first_n(kNumPorts);
-  if (port_wake_armed_) {
-    // Every wake for this cycle's arrivals fired before the router pass
-    // (sends of the previous cycle, and latency-0 NIC lookaheads during
-    // injection), so the word is complete and can be retired now. Sends of
-    // this cycle land in the other word.
-    uint64_t& word = wake_port_words_[static_cast<size_t>(now & 1)];
-    arrived_ = word;
-    word = 0;
-    // One bit per port: the OR of the flit, credit and lookahead bytes.
-    const uint64_t ports = (arrived_ | arrived_ >> 8 | arrived_ >> 16) &
-                           ((uint64_t{1} << kNumPorts) - 1);
-    active = internal_work_ports();
-    active |= PortMask(ports);
-  }
-  apply_credits(now, active);
-  phase_st_and_bw(now, active);
+  apply_credits(now);
+  phase_st_and_bw(now);
   fault_tick(now);
   // A degraded router's allocators run at half rate (docs/FAULTS.md): odd
   // cycles skip both switch allocation and mSA-I/VA. Credits and the ST
@@ -101,18 +55,16 @@ void Router::tick(Cycle now) {
   const bool throttled =
       faults_ != nullptr && faults_->degraded(node_) && (now & 1) != 0;
   if (!throttled) {
-    phase_sa2(now, active);
-    phase_sa1_va(now, active);
+    phase_sa2(now);
+    phase_sa1_va(now);
   }
   energy_.vc_active_cycles += busy_.count();
 }
 
-void Router::apply_credits(Cycle now, const PortMask& active) {
+void Router::apply_credits(Cycle now) {
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
-    if (!active.test(p)) continue;
     if (!ip.connected || ip.ch.credit_in == nullptr) continue;
-    if (!arrived(Arrival::Credit, p)) continue;
     for (const Credit& c : ip.ch.credit_in->arrivals(now)) {
       auto& ds = out_[static_cast<size_t>(p)].ds;
       ds.return_credit(c.vc);
@@ -352,12 +304,11 @@ void Router::retire_sent_flits(Cycle now, int port, int vc) {
   }
 }
 
-void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
+void Router::phase_st_and_bw(Cycle now) {
   // LT stage of the FourStage pipeline: drain last cycle's ST results.
   if (cfg_.pipeline == PipelineMode::FourStage) {
     for (int o = 0; o < kNumPorts; ++o) {
       auto& op = out_[static_cast<size_t>(o)];
-      if (!active.test(o)) continue;  // pending LT implies membership
       if (!op.lt.has_value()) continue;
       auto* ch = in_[static_cast<size_t>(o)].ch.flit_out;
       NOC_ASSERT(ch != nullptr);
@@ -377,7 +328,7 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
   // the credit protocol sizes occupancy assuming exactly this.
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
-    if (!active.test(p) || !ip.st.valid) continue;
+    if (!ip.st.valid) continue;
     const int vcid = ip.st.vc;
     auto& ivc = ip.vcs[static_cast<size_t>(vcid)];
     // Safe to borrow: forward_copy only sends downstream, and the pops in
@@ -390,15 +341,11 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
     retire_sent_flits(now, p, vcid);
   }
 
-  // Arriving flits: bypass or buffer-write. A skipped port has no arrival
-  // (the flit channel's wake hook carries this port's bit).
+  // Arriving flits: bypass or buffer-write.
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
-    if (!active.test(p)) continue;
     if (!ip.connected || ip.ch.flit_in == nullptr) continue;
-    const auto arrivals = arrived(Arrival::Flit, p)
-                              ? ip.ch.flit_in->arrivals(now)
-                              : std::span<const Flit>{};
+    const auto arrivals = ip.ch.flit_in->arrivals(now);
     NOC_ASSERT(arrivals.size() <= 1);  // one flit per link per cycle
     if (arrivals.empty()) {
       NOC_ASSERT(!ip.bypass.valid);  // a lookahead always precedes its flit
@@ -442,22 +389,22 @@ void Router::phase_st_and_bw(Cycle now, const PortMask& active) {
   }
 }
 
-void Router::phase_sa2(Cycle now, const PortMask& active) {
+void Router::phase_sa2(Cycle now) {
   std::array<bool, kNumPorts> out_claimed{};
   std::array<bool, kNumPorts> in_claimed{};
 
   if (cfg_.has_bypass() && cfg_.lookahead_priority) {
-    process_lookaheads(now, active, out_claimed, in_claimed);
+    process_lookaheads(now, out_claimed, in_claimed);
     arbitrate_buffered(now, out_claimed, in_claimed);
   } else if (cfg_.has_bypass()) {
     arbitrate_buffered(now, out_claimed, in_claimed);
-    process_lookaheads(now, active, out_claimed, in_claimed);
+    process_lookaheads(now, out_claimed, in_claimed);
   } else {
     arbitrate_buffered(now, out_claimed, in_claimed);
   }
 }
 
-void Router::process_lookaheads(Cycle now, const PortMask& active,
+void Router::process_lookaheads(Cycle now,
                                 std::array<bool, kNumPorts>& out_claimed,
                                 std::array<bool, kNumPorts>& in_claimed) {
   // Rotating priority across input ports keeps lookahead-vs-lookahead
@@ -473,11 +420,7 @@ void Router::process_lookaheads(Cycle now, const PortMask& active,
     int p = rot + off;
     if (p >= kNumPorts) p -= kNumPorts;
     auto& ip = in_[static_cast<size_t>(p)];
-    // A skipped port has no lookahead arrival; the relative rotation order
-    // among ports that DO is unchanged, so arbitration is unaffected.
-    if (!active.test(p)) continue;
     if (!ip.connected || ip.ch.la_in == nullptr) continue;
-    if (!arrived(Arrival::Lookahead, p)) continue;
     for (const Lookahead& la : ip.ch.la_in->arrivals(now)) {
       NOC_ASSERT(la.in_port == p);
       ++energy_.sa2_arbitrations;
@@ -692,12 +635,9 @@ void Router::arbitrate_buffered(Cycle now,
   }
 }
 
-void Router::phase_sa1_va(Cycle now, const PortMask& active) {
+void Router::phase_sa1_va(Cycle now) {
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
-    // A skipped port has stage2_vc < 0 and an empty busy slice, so the scan
-    // below would land on the eligible.none() branch and re-store -1.
-    if (!active.test(p)) continue;
     if (ip.stage2_vc >= 0) {
       // A partially-served multicast is holding stage 2; retry VA for any
       // of its branches that still lack a downstream VC, but do not run

@@ -50,7 +50,8 @@ struct RouterConfig {
   /// router only accepts unicast flits (the NIC duplicates broadcasts).
   bool multicast = true;
   /// A multicast lookahead may bypass on a subset of its requested output
-  /// ports, buffering only the remainder. Ablation knob (DESIGN.md Sec 6).
+  /// ports, buffering only the remainder. Ablation knob
+  /// (bench/ablation_bypass.cpp).
   bool allow_partial_bypass = true;
   /// Lookaheads beat buffered requests in mSA-II (paper Sec 3.2). Ablation
   /// knob: when false, buffered flits arbitrate first.
@@ -61,13 +62,6 @@ struct RouterConfig {
   /// feeds raw per-VC outport requests into its round-robin circuit and
   /// wastes switch cycles on credit-blocked VCs.
   bool actionable_sa1_requests = true;
-  /// Port-granular activity gating (docs/PERF.md Layer 5): under network
-  /// activity gating, a ticking router sweeps only ports holding internal
-  /// work or whose channels delivered this cycle (per-port wake bits set by
-  /// the channel hooks), instead of all 5 ports x all VCs. Pure scheduling
-  /// -- results are bit-identical either way. Ignored when the network runs
-  /// ungated (every component is then awake and visits everything).
-  bool port_gating = true;
   /// Routing policy (noc/route_policy.hpp, docs/ROUTING.md). The chip
   /// hardwires XY; YX is the mirror ablation; O1TURN and MinimalAdaptive
   /// load-balance unicasts over lane-partitioned VCs to attack the paper's
@@ -123,23 +117,6 @@ class Router {
   /// True when no flit is buffered or latched anywhere in this router.
   bool idle() const;
 
-  /// The input channel kinds a port-wake bit can stand for.
-  enum class Arrival { Flit = 0, Credit = 1, Lookahead = 2 };
-  /// Port-wake bit for an arrival of kind `k` at input port `in_port`: one
-  /// byte per kind, one bit per port.
-  static uint64_t arrival_bit(Arrival k, PortDir in_port) {
-    return uint64_t{1} << (8 * static_cast<int>(k) + port_index(in_port));
-  }
-
-  /// Arm per-port wake gating (RouterConfig::port_gating under a gated
-  /// network) and return the pair of words the channel hooks OR their
-  /// arrival_bit into, indexed by arrival-cycle parity
-  /// (WakeHook::port_words).
-  uint64_t* arm_port_wake() {
-    port_wake_armed_ = true;
-    return wake_port_words_.data();
-  }
-
   /// Attach the network's fault-schedule state (docs/FAULTS.md). Called
   /// once at construction time for networks with a non-empty FaultPlan;
   /// the router reads dead-port / degrade flags through this pointer every
@@ -150,9 +127,9 @@ class Router {
   /// lifecycle as attach_faults: set once at construction when
   /// TelemetryConfig::enabled, nullptr otherwise -- every hot-path hook is
   /// one untaken branch on this pointer. Stall counters are only ever
-  /// charged to busy VCs of swept ports, which makes the counts
-  /// bit-identical across activity gating, port gating, and parallel
-  /// stepping (a sleeping router has no busy VCs to charge).
+  /// charged to busy VCs, which makes the counts bit-identical across
+  /// activity gating and parallel stepping (a sleeping router has no busy
+  /// VCs to charge).
   void attach_telemetry(Telemetry* t) { telemetry_ = t; }
 
   /// The fault schedule changed the surviving topology (link kill or
@@ -208,11 +185,11 @@ class Router {
     std::optional<Flit> lt;
   };
 
-  // --- phases (each sweeps only ports set in `active`) ---
-  void apply_credits(Cycle now, const PortMask& active);
-  void phase_st_and_bw(Cycle now, const PortMask& active);
-  void phase_sa2(Cycle now, const PortMask& active);
-  void phase_sa1_va(Cycle now, const PortMask& active);
+  // --- phases (each sweeps all five ports) ---
+  void apply_credits(Cycle now);
+  void phase_st_and_bw(Cycle now);
+  void phase_sa2(Cycle now);
+  void phase_sa1_va(Cycle now);
   /// Fault-mode drop-branch sweep (docs/FAULTS.md): consumes one flit per
   /// cycle per drop branch as if sent and counts the tail as a dropped
   /// delivery. Runs between ST/BW and mSA-II -- after this tick's ST latch
@@ -222,7 +199,7 @@ class Router {
   void fault_tick(Cycle now);
 
   // --- helpers ---
-  void process_lookaheads(Cycle now, const PortMask& active,
+  void process_lookaheads(Cycle now,
                           std::array<bool, kNumPorts>& out_claimed,
                           std::array<bool, kNumPorts>& in_claimed);
   void arbitrate_buffered(Cycle now,
@@ -294,10 +271,6 @@ class Router {
   uint32_t busy_slice(int port) const {
     return busy_.extract(port * kMaxTotalVcs, kMaxTotalVcs);
   }
-  /// Ports holding carried-over work: a busy VC, an ST/bypass latch, a
-  /// stage-2 candidate, or a pending LT. The complement may be skipped by a
-  /// port-gated tick unless a wake bit says a channel delivered.
-  PortMask internal_work_ports() const;
 
   NodeId node_;
   const MeshGeometry& geom_;
@@ -323,19 +296,6 @@ class Router {
   /// walk, idle(), and the mSA-I scan are word ops over this instead of
   /// 5x16 InputVc object walks.
   VcSetMask busy_;
-  /// Port-wake bits by arrival-cycle parity: word [t & 1] holds the
-  /// arrival_bit of every input channel a message arrives on at cycle t.
-  /// Senders set them at send time, up to a cycle ahead; tick(now) moves
-  /// word [now & 1] into arrived_ and clears it. Only meaningful when armed.
-  std::array<uint64_t, 2> wake_port_words_{};
-  /// This tick's arrival bits: a channel whose bit is clear has nothing to
-  /// read. All set when port wakes are not armed, so every channel is read.
-  uint64_t arrived_ = ~uint64_t{0};
-  bool port_wake_armed_ = false;
-
-  bool arrived(Arrival k, int port) const {
-    return ((arrived_ >> (8 * static_cast<int>(k) + port)) & 1) != 0;
-  }
 
   /// Persistent per-tick allocation scratch. Constructing a GrantList runs
   /// five GrantOut constructors (each zeroing a multi-word DestMask), which

@@ -28,8 +28,8 @@ namespace noc {
 enum class PortDir : uint8_t { North = 0, East = 1, South = 2, West = 3, Local = 4 };
 constexpr int kNumPorts = 5;
 
-/// One bit per router port (bit i = port_dir(i)): claim sets, per-port wake
-/// bits, branch request vectors (docs/PERF.md Layer 5).
+/// One bit per router port (bit i = port_dir(i)): mSA-II request rows and
+/// dead output ports (docs/PERF.md Layer 5).
 using PortMask = BitMask<kNumPorts>;
 
 inline int port_index(PortDir d) { return static_cast<int>(d); }

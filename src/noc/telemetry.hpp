@@ -8,9 +8,9 @@
 //  1. Stall attribution -- per-router counters splitting every
 //     non-productive busy-VC cycle into the five disjoint classes below.
 //     The router accumulates them from the masks mSA-I/mSA-II already
-//     compute (router.cpp), and only ever over busy VCs of swept ports, so
-//     the counts are bit-identical across activity gating, port gating,
-//     and parallel stepping by construction.
+//     compute (router.cpp), and only ever over busy VCs, so the counts are
+//     bit-identical across activity gating and parallel stepping by
+//     construction.
 //  2. Latency histograms live in Metrics (noc/metrics.hpp), not here: they
 //     are fed where packets retire, on the shared Metrics only, and hold
 //     integer counts, so serial and parallel stepping fill identical bins.

@@ -47,6 +47,10 @@ OpenLoopSource::OpenLoopSource(const MeshGeometry& geom,
       // artifact; otherwise each NIC gets an independent stream.
       rng_(cfg.identical_prbs ? cfg.seed : node_rng_seed(cfg.seed, node)) {
   NOC_EXPECTS(cfg.offered_flits_per_node_cycle >= 0.0);
+  // Transpose swaps x and y, so it needs a square mesh; the other patterns
+  // run on any kx x ky.
+  NOC_EXPECTS(cfg.pattern != TrafficPattern::Transpose ||
+              geom.kx() == geom.ky());
 }
 
 double OpenLoopSource::avg_flits_per_packet() const {
@@ -182,7 +186,7 @@ std::optional<Packet> OpenLoopSource::generate(Cycle now) {
     }
     case TrafficPattern::Tornado: {
       const Coord c = geom_.coord(node_);
-      const int k = geom_.k();
+      const int k = geom_.kx();
       const int dx = (c.x + (k + 1) / 2 - 1) % k;
       if (dx == c.x) return std::nullopt;
       pkt.dest_mask = MeshGeometry::node_mask(geom_.id(dx, c.y));
@@ -190,8 +194,7 @@ std::optional<Packet> OpenLoopSource::generate(Cycle now) {
     }
     case TrafficPattern::NearestNeighbor: {
       const Coord c = geom_.coord(node_);
-      const int k = geom_.k();
-      if (k < 2) return std::nullopt;  // no neighbor to send to
+      const int k = geom_.kx();  // >= 2 (MeshGeometry)
       // Reflect at the east edge: the mesh has no wraparound link, so the
       // old (c.x+1)%k mapping sent the edge column a silent (k-1)-hop
       // packet across the whole row. With reflection every node still

@@ -19,12 +19,12 @@
 // a credit per VC; one more asserts), and the latency is at most
 // kMaxLatency (1 on the mesh), so sends never allocate (docs/PERF.md).
 //
-// The receiver is woken at send time: the hook names the arrival cycle, and
-// the Network points latency-1 hooks at next-cycle wake masks and
-// latency-0 hooks at this cycle's (docs/PERF.md Layer 3). An optional
-// counter pair, indexed by arrival-cycle parity, counts messages in flight
-// for the Network's O(1) quiescence check; the Network retires a parity's
-// count when its arrivals have been read.
+// The receiver is woken at send time: the Network points latency-1 hooks
+// at next-cycle wake masks and latency-0 hooks at this cycle's
+// (docs/PERF.md Layer 3). An optional counter pair, indexed by
+// arrival-cycle parity, counts messages in flight for the Network's O(1)
+// quiescence check; the Network retires a parity's count when its
+// arrivals have been read.
 
 #include <array>
 #include <bit>
@@ -50,7 +50,7 @@ class Channel {
     stamps_.fill(-1);
   }
 
-  /// Wake target fired at every send with the message's arrival cycle.
+  /// Wake target fired at every send.
   void set_wake_target(const WakeHook& wake) { wake_ = wake; }
 
   /// In-flight counter pair: each send adds one to items[arrival & 1].
@@ -119,7 +119,7 @@ class Channel {
     }
     slots_[i].push_back(msg);
     if (items_ != nullptr) ++items_[at & 1];
-    wake_.fire_at(at);
+    wake_.fire();
   }
 
   int latency_;

@@ -7,7 +7,7 @@
 //
 // The formulas are implemented exactly as printed in Table 1. Two of them
 // are slightly loose relative to exact enumeration, and we provide the exact
-// counterparts for cross-checking (see DESIGN.md "paper-formula quirks"):
+// counterparts for cross-checking:
 //  - unicast H_avg = 2(k+1)/3 conditions on src/dst differing per dimension;
 //    the exact uniform average (src != dst) is 2k/3.
 //  - broadcast H for even k, (3k-1)/2, is 0.5 above the exact

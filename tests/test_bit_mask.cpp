@@ -43,20 +43,9 @@ TEST(BitMask, SingleWordBasics) {
   EXPECT_TRUE(m.none());
 }
 
-TEST(BitMask, ConstructorsAndFirstN) {
+TEST(BitMask, Constructors) {
   EXPECT_EQ(BitMask<5>(uint64_t{0b10110}).count(), 3);
   EXPECT_EQ(BitMask<5>::bit(3), BitMask<5>(uint64_t{0b01000}));
-  EXPECT_EQ(BitMask<5>::first_n(0).count(), 0);
-  EXPECT_EQ(BitMask<5>::first_n(5), BitMask<5>(uint64_t{0b11111}));
-
-  // first_n across word boundaries: 80-bit mask (the VcSetMask shape).
-  const auto m64 = BitMask<80>::first_n(64);
-  EXPECT_EQ(m64.word(0), ~uint64_t{0});
-  EXPECT_EQ(m64.word(1), 0u);
-  const auto m65 = BitMask<80>::first_n(65);
-  EXPECT_EQ(m65.word(1), 1u);
-  EXPECT_EQ(m65.count(), 65);
-  EXPECT_EQ(BitMask<80>::first_n(80).count(), 80);
 }
 
 TEST(BitMask, WordBoundarySetClearLowest) {
@@ -102,7 +91,7 @@ TEST(BitMask, OperatorsKeepTailClear) {
   EXPECT_EQ(inv.word(1) >> 6, 0u) << "complement leaked past kBits";
 
   EXPECT_EQ((m & inv).count(), 0);
-  EXPECT_EQ((m | inv), BitMask<70>::first_n(70));
+  EXPECT_EQ((m | inv).count(), 70);
   EXPECT_EQ((m ^ m).count(), 0);
   EXPECT_EQ(m.andnot(m).count(), 0);
   EXPECT_EQ(inv.andnot(m), inv);

@@ -330,10 +330,7 @@ TEST(CampaignManifest, ValuesThatWouldAbortARunFailToLoad) {
       {"request-vcs 20", "request-vcs"},
       {"request-vcs 15", "request-vcs"},  // + the preset's 2 response VCs
       {"ky -3", "ky"},
-      // Patterns that index the mesh as k x k.
-      {"ky 2\n  pattern tornado", "pattern"},
-      {"ky 2\n  pattern transpose", "pattern"},
-      {"ky 2\n  pattern nearest-neighbor", "pattern"},
+      {"ky 2\n  pattern transpose", "pattern"},  // swaps x and y
   };
   for (const auto& [line, keyword] : bad) {
     const auto [m, err] = load_text(path, kOnePoint + "  " + line + "\nend\n");
@@ -342,6 +339,27 @@ TEST(CampaignManifest, ValuesThatWouldAbortARunFailToLoad) {
     EXPECT_NE(err.find("point 'p'"), std::string::npos) << err;
     EXPECT_NE(err.find(std::string("'") + keyword + "'"), std::string::npos)
         << err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CampaignManifest, RowPatternsRunOnARectangularMesh) {
+  // Tornado and nearest-neighbor move along x only: a 4x8 point loads, and
+  // running it the way `campaign run` does delivers packets.
+  const std::string path = ::testing::TempDir() + "campaign_rect.campaign";
+  for (const std::string pattern : {"tornado", "nearest-neighbor"}) {
+    const auto [m, err] =
+        load_text(path, kOnePoint + "  ky 8\n  pattern " + pattern +
+                            "\n  warmup 200\n  window 1000\nend\n");
+    ASSERT_NE(m, nullptr) << err;
+    std::string resolve_err;
+    const auto points = resolve_manifest(*m, &resolve_err);
+    ASSERT_EQ(points.size(), 1u) << resolve_err;
+    EXPECT_EQ(points[0].cfg.ky, 8);
+    EXPECT_GT(measure_workload(points[0].cfg, points[0].measure)
+                  .completed_packets,
+              0)
+        << pattern;
   }
   std::remove(path.c_str());
 }

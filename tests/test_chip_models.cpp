@@ -22,7 +22,7 @@ TEST(Table2, Tile64Row) {
   EXPECT_NEAR(m.delay_per_hop_min_ns(), 1.33, 0.01);      // paper: 1.3ns
   EXPECT_NEAR(m.zero_load_unicast_cycles(), 9.0, 1e-9);   // paper: 9
   // Paper prints 77.5; serialization + 1.5 cycles/hop gives 80.25 (3.5%
-  // deviation, documented in DESIGN.md).
+  // deviation).
   EXPECT_NEAR(m.zero_load_broadcast_cycles(), 80.25, 1e-9);
   EXPECT_NEAR(m.zero_load_broadcast_cycles(), 77.5, 3.0);
   // Paper prints 937.5 Gb/s; 5 networks x 8 links x 32b x 750MHz = 960.

@@ -111,5 +111,33 @@ TEST(CliArgsDeathTest, NegativeWarmupOrEmptyWindowExits) {
   EXPECT_EQ(opt.window, 1);
 }
 
+TEST(CliArgsDeathTest, ValuesBelowTheirBoundExitNamingTheFlag) {
+  // The rate and sampling-period flags of example_quickstart and
+  // `campaign telemetry` hold the bounds manifests hold their fields to.
+  Argv argv{"--load", "-0.1", "--sample-every", "-5", "--trace-every=-5",
+            "--step-threads", "0"};
+  const CliArgs args = argv.parse();
+  EXPECT_EXIT(args.get_at_least("load", 0.10, 0.0),
+              ::testing::ExitedWithCode(1), "invalid --load -0.1: need >= 0");
+  EXPECT_EXIT(args.get_at_least<int64_t>("sample-every", 50, 0),
+              ::testing::ExitedWithCode(1),
+              "invalid --sample-every -5: need >= 0");
+  EXPECT_EXIT(args.get_at_least<int64_t>("trace-every", 64, 0),
+              ::testing::ExitedWithCode(1),
+              "invalid --trace-every -5: need >= 0");
+  EXPECT_EXIT(cli_step_threads(args), ::testing::ExitedWithCode(1),
+              "invalid --step-threads 0: need >= 1");
+}
+
+TEST(CliArgs, ValuesAtTheirBoundPass) {
+  Argv argv{"--offered", "0", "--sample-every", "0", "--step-threads", "1"};
+  const CliArgs args = argv.parse();
+  EXPECT_EQ(args.get_at_least("offered", 0.15, 0.0), 0.0);
+  EXPECT_EQ(args.get_at_least<int64_t>("sample-every", 50, 0), 0);
+  EXPECT_EQ(args.get_at_least<int64_t>("trace-every", 64, 0), 64);
+  EXPECT_EQ(cli_step_threads(args), 1);
+  EXPECT_TRUE(args.check_unused());
+}
+
 }  // namespace
 }  // namespace noc

@@ -74,29 +74,6 @@ void expect_gating_invisible(NetworkConfig cfg, double offered) {
   expect_identical(gated, full);
 }
 
-/// Per-port gating axis (docs/PERF.md Layer 5): with network-level gating
-/// on, toggling RouterConfig::port_gating must be metric-invisible, and the
-/// port-gated run must also match the full ungated phase walk (a port bit
-/// missed by a wake hook shows up as a skipped phase action here).
-void expect_port_gating_invisible(NetworkConfig cfg, double offered) {
-  SCOPED_TRACE(std::string("port-gating pattern=") +
-               traffic_pattern_name(cfg.traffic.pattern) +
-               " workload=" + workload_kind_name(cfg.workload.kind) +
-               " policy=" + std::to_string(static_cast<int>(
-                                cfg.router.routing)) +
-               " pipeline=" + std::to_string(static_cast<int>(
-                                  cfg.router.pipeline)));
-  cfg.activity_gating = true;
-  cfg.router.port_gating = true;
-  const PointResult ported = measure_point(cfg, offered, kOpt);
-  cfg.router.port_gating = false;
-  const PointResult router_only = measure_point(cfg, offered, kOpt);
-  expect_identical(ported, router_only);
-  cfg.activity_gating = false;
-  const PointResult full = measure_point(cfg, offered, kOpt);
-  expect_identical(ported, full);
-}
-
 NetworkConfig pipeline_config(PipelineMode p) {
   switch (p) {
     case PipelineMode::Proposed: return NetworkConfig::proposed(4);
@@ -171,58 +148,6 @@ TEST(GatingEquivalence, RoutingPoliciesAllWorkloadShapes) {
   }
 }
 
-TEST(GatingEquivalence, PortGatingAllPoliciesAllWorkloads) {
-  // on/off x policy x workload bit-identity for the per-port axis: sparse
-  // open loop (ports genuinely park), a denser point (wake bits churn every
-  // cycle), and closed loop (response traffic wakes ports the requester
-  // side left idle).
-  constexpr RoutePolicy kPolicies[] = {
-      RoutePolicy::XY, RoutePolicy::YX, RoutePolicy::O1Turn,
-      RoutePolicy::MinimalAdaptive};
-  for (RoutePolicy policy : kPolicies) {
-    for (TrafficPattern pattern :
-         {TrafficPattern::UniformRequest, TrafficPattern::MixedPaper}) {
-      NetworkConfig cfg = NetworkConfig::proposed(4);
-      cfg.router.routing = policy;
-      cfg.traffic.pattern = pattern;
-      cfg.traffic.seed = 17;
-      expect_port_gating_invisible(cfg, 0.05);
-      expect_port_gating_invisible(cfg, 0.30);
-    }
-    NetworkConfig closed = NetworkConfig::proposed(4);
-    closed.router.routing = policy;
-    closed.workload.kind = WorkloadKind::ClosedLoop;
-    closed.workload.closed.window = 4;
-    closed.workload.closed.issue_prob = 0.05;
-    closed.workload.closed.think_time = 6;
-    expect_port_gating_invisible(closed, 0.0);
-  }
-}
-
-TEST(GatingEquivalence, PortGatingAllPipelinesAndMulticast) {
-  // The LT latch (FourStage) and multi-branch forks (multicast) hold
-  // internal work on OUTPUT ports; the internal-work mask must keep those
-  // ports in the sweep with no delivery wake.
-  for (PipelineMode p : kPipelines) {
-    NetworkConfig cfg = pipeline_config(p);
-    cfg.traffic.pattern = TrafficPattern::MixedPaper;
-    cfg.traffic.seed = 23;
-    expect_port_gating_invisible(cfg, 0.08);
-  }
-  NetworkConfig bc = NetworkConfig::proposed(4);
-  bc.traffic.pattern = TrafficPattern::BroadcastOnly;
-  expect_port_gating_invisible(bc, 0.04);
-}
-
-TEST(GatingEquivalence, PortGatingLargeK12) {
-  // Above 64 nodes the node-level wake masks are multi-word; the per-port
-  // words ride on the same hooks, so cover the high-word routers too.
-  NetworkConfig cfg = NetworkConfig::proposed(12);
-  cfg.traffic.pattern = TrafficPattern::MixedPaper;
-  cfg.traffic.seed = 29;
-  expect_port_gating_invisible(cfg, 0.02);
-}
-
 TEST(GatingEquivalence, FaultScheduleIsGatingInvisible) {
   // Fault mode (docs/FAULTS.md): apply_faults runs at the top of every
   // step in both modes, wedged routers never sleep (busy components stay
@@ -245,7 +170,7 @@ TEST(GatingEquivalence, FaultScheduleIsGatingInvisible) {
         .restore_router(900, 10);
     expect_gating_invisible(cfg, 0.05);
     expect_gating_invisible(cfg, 0.25);
-    expect_port_gating_invisible(cfg, 0.10);
+    expect_gating_invisible(cfg, 0.10);
   }
 }
 
@@ -253,8 +178,8 @@ TEST(GatingEquivalence, TelemetryProbesAreDeterministicObservers) {
   // Telemetry (docs/OBSERVABILITY.md) must be a pure observer: with the
   // probes on, stall attribution and the latency order statistics must be
   // bit-identical across gating on/off AND serial vs step_threads=4 -- the
-  // stall counters are charged only over busy VCs of swept ports, so every
-  // stepping mode counts the same cycles by construction. Covered across a
+  // stall counters are charged only over busy VCs, so every stepping mode
+  // counts the same cycles by construction. Covered across a
   // mid-window kill/revive epoch, where rerouting shifts the stall mix.
   NetworkConfig cfg = NetworkConfig::proposed(4);
   cfg.router.routing = RoutePolicy::MinimalAdaptive;

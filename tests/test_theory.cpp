@@ -1,5 +1,5 @@
 // Table 1 formulas: printed values for the paper's configurations, and the
-// documented relationship to exact enumeration (DESIGN.md quirks).
+// documented relationship to exact enumeration (theory/mesh_limits.hpp).
 #include <gtest/gtest.h>
 
 #include "theory/mesh_limits.hpp"

@@ -231,6 +231,36 @@ TEST(Traffic, NearestNeighborReflectsAtTheEastEdge) {
   }
 }
 
+TEST(Traffic, RowPatternsStayInTheRowOfARectangularMesh) {
+  // Tornado and nearest-neighbor move only along x, so they run on a 4x8
+  // mesh: every node sends, to a node of its own row other than itself.
+  MeshGeometry g(4, 8);
+  for (auto pat : {TrafficPattern::Tornado, TrafficPattern::NearestNeighbor}) {
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      OpenLoopSource gen(g, base_cfg(pat, 0.9), n);
+      int sent = 0;
+      for (Cycle t = 0; t < 50; ++t) {
+        if (auto p = gen.generate(t)) {
+          ++sent;
+          const NodeId d = g.nodes_in(p->dest_mask).front();
+          EXPECT_NE(d, n) << traffic_pattern_name(pat);
+          EXPECT_EQ(g.coord(d).y, g.coord(n).y)
+              << traffic_pattern_name(pat) << " node " << n << " -> " << d;
+        }
+      }
+      EXPECT_GT(sent, 0) << traffic_pattern_name(pat) << " node " << n;
+    }
+  }
+}
+
+TEST(TrafficDeathTest, TransposeOnARectangularMeshFailsAtConstruction) {
+  // Transpose swaps x and y: on a 4x8 mesh it stops when the source is
+  // built, naming the pattern, not midway through a run.
+  MeshGeometry g(4, 8);
+  EXPECT_DEATH(OpenLoopSource(g, base_cfg(TrafficPattern::Transpose), 0),
+               "Transpose");
+}
+
 TEST(Traffic, GeneratorToleratesSkippedCyclesBelowNextFire) {
   // The gating contract: calling generate() only at next_fire_cycle() must
   // yield the same fire cycles and packets as calling it every cycle.

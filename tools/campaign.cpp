@@ -58,8 +58,8 @@ void usage(const char* argv0) {
       "    --out-dir DIR   artifact directory (default telemetry-out)\n"
       "    --offered R     open-loop load (default 0.15 flits/node/cycle)\n"
       "    --warmup/--window N  phase lengths (defaults 2000/6000)\n"
-      "    --sample-every N     time-series period (default 50)\n"
-      "    --trace-every N      packet trace sampling (default 64)\n",
+      "    --sample-every N     time-series period (default 50, 0 = off)\n"
+      "    --trace-every N      packet trace sampling (default 64, 0 = off)\n",
       argv0);
 }
 
@@ -239,12 +239,13 @@ bool write_links_csv(const std::string& path, const Network& net) {
 int cmd_telemetry(const CliArgs& args) {
   const int k = cli_mesh_radix(args, 8);
   const std::string dir = args.get_str("out-dir", "telemetry-out");
-  const double offered = args.get_double("offered", 0.15);
+  // The bounds manifests hold these fields to; 0 turns a sampler off.
+  const double offered = args.get_at_least("offered", 0.15, 0.0);
   const auto [warmup, window] =
       cli_measure_options(args, {.warmup = 2000, .window = 6000});
-  const Cycle sample_every = args.get_int("sample-every", 50);
+  const Cycle sample_every = args.get_at_least<int64_t>("sample-every", 50, 0);
   const auto trace_every =
-      static_cast<uint64_t>(args.get_int("trace-every", 64));
+      static_cast<uint64_t>(args.get_at_least<int64_t>("trace-every", 64, 0));
   const int step_threads = cli_step_threads(args);
   if (!args.check_unused()) return 1;
 
