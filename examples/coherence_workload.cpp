@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   }
   NetworkConfig cfg = NetworkConfig::proposed(4);
   cfg.workload.kind = WorkloadKind::ClosedLoop;
-  cfg.workload.closed.window = static_cast<int>(args.get_int("mshr", 4));
+  cfg.workload.closed.window = args.get_at_least("mshr", 4, 1);
   // Default models a compute-bound core: a miss every ~50 cycles per node.
   cfg.workload.closed.issue_prob = args.get_double("issue-prob", 0.02);
   cfg.workload.closed.directory_latency = args.get_int("dir-latency", 2);

@@ -1,24 +1,34 @@
 #pragma once
-// BitMask<N>: fixed-width multi-word bitset -- the DestMask idiom
-// (common/dest_mask.hpp) generalized to any bit count, so the router
-// datapath can model its per-port / per-VC candidate sets as wide masks
-// instead of per-element loops (docs/PERF.md Layer 5).
+// BitMask<N>: fixed-width multi-word bitset, the simulator's one bitset
+// type. DestMask (below) is the 256-bit instance that holds a multicast's
+// destination set and the step loop's per-node awake masks: 4 x 64-bit
+// words cover k <= 16 (256 nodes), large enough to study how far past the
+// prototype the paper's theoretical-limit analysis holds (docs/SCALING.md).
+// The router datapath models its per-port / per-VC candidate sets with the
+// same template (docs/PERF.md Layer 5).
 //
-// Same design constraints as DestMask, in the same priority order:
-//  - Zero heap: plain array storage, trivially copyable; hot-path state
-//    built on BitMask keeps the steady-state no-allocation invariant.
+// Design constraints (in priority order):
+//  - Zero heap: plain array storage, trivially copyable, so Flit/Packet/
+//    Branch copies stay memcpy and the steady-state no-allocation invariant
+//    (docs/PERF.md) is untouched.
 //  - Word-0 fast path: masks narrower than 64 bits compile to single-word
 //    ops (kWords == 1 collapses every loop below), and wider masks
-//    short-circuit on word 0 first.
-//  - No silent truncation: the uint64_t constructor is explicit and
-//    operators keep bits above kBits cleared, so count()/any()/== never see
-//    phantom tail bits (operator~ masks the last word).
+//    short-circuit on word 0 first -- on k <= 8 meshes a DestMask only
+//    ever populates word 0.
+//  - No silent truncation: the uint64_t constructor is explicit, so the
+//    pre-multiword idioms that would quietly produce a word-0-only mask
+//    (`dest_mask = 1u << n`, comparisons against integer literals) are
+//    build errors. Single bits come from bit(), all-ones masks from
+//    first_n; a literal single-word mask is spelled DestMask{0x1f}. No
+//    operation sets a bit at or above kBits, so count()/any()/== never see
+//    phantom tail bits.
 //
-// The noc layer instantiates three aliases (noc/routing.hpp,
-// noc/buffers.hpp): PortMask over the 5 router ports, VcMask over the VC
-// ids of one port, and VcSetMask over ports x VCs. Word-boundary behavior
-// is pinned by tests/test_bit_mask.cpp, including the randomized
-// incremental-vs-recompute cross-checks.
+// The noc layer adds three aliases (noc/routing.hpp, noc/buffers.hpp):
+// PortMask over the 5 router ports, VcMask over the VC ids of one port, and
+// VcSetMask over ports x VCs. Word-boundary behavior is pinned by
+// tests/test_bit_mask.cpp, including the randomized incremental-vs-recompute
+// cross-checks; tests/test_routing.cpp and tests/test_multiflit_multicast.cpp
+// pin destination sets that straddle the 64/128/192-bit seams.
 
 #include <bit>
 #include <cstdint>
@@ -36,11 +46,12 @@ class BitMask {
   static constexpr int kWords = (NBits + 63) / 64;
 
   constexpr BitMask() = default;
-  /// Explicit for the same reason DestMask's is: a bare integer is only
-  /// ever a word-0 mask, and silent conversion would reintroduce the
-  /// truncation bugs the multi-word types exist to prevent.
+  /// Explicit on purpose: a bare integer is only ever a word-0 mask, and
+  /// letting `mask = 1 << n` convert silently would reintroduce the
+  /// truncation bugs the multi-word masks exist to make unrepresentable
+  /// (docs/SCALING.md).
   constexpr explicit BitMask(uint64_t low) : w_{} {
-    NOC_EXPECTS(kBits >= 64 || (low >> kBits) == 0);
+    if constexpr (kBits < 64) NOC_EXPECTS((low >> kBits) == 0);
     w_[0] = low;
   }
 
@@ -49,6 +60,21 @@ class BitMask {
     NOC_EXPECTS(n >= 0 && n < kBits);
     BitMask m;
     m.w_[word_of(n)] = bit_of(n);
+    return m;
+  }
+
+  /// Mask with the lowest `n` bits set (the all-nodes mask of an n-node
+  /// mesh).
+  static constexpr BitMask first_n(int n) {
+    NOC_EXPECTS(n >= 0 && n <= kBits);
+    BitMask m;
+    for (int w = 0; w < kWords; ++w) {
+      const int low = w * 64;
+      if (n >= low + 64)
+        m.w_[w] = ~uint64_t{0};
+      else if (n > low)
+        m.w_[w] = (uint64_t{1} << (n - low)) - 1;
+    }
     return m;
   }
 
@@ -63,9 +89,6 @@ class BitMask {
   constexpr void clear(int n) {
     NOC_EXPECTS(n >= 0 && n < kBits);
     w_[word_of(n)] &= ~bit_of(n);
-  }
-  constexpr void clear_all() {
-    for (int w = 0; w < kWords; ++w) w_[w] = 0;
   }
 
   constexpr bool any() const {
@@ -87,16 +110,6 @@ class BitMask {
     for (int w = 0; w < kWords; ++w)
       if (w_[w] != 0) return w * 64 + std::countr_zero(w_[w]);
     return kBits;
-  }
-
-  /// Clear the lowest set bit (no-op when empty).
-  constexpr void clear_lowest() {
-    for (int w = 0; w < kWords; ++w) {
-      if (w_[w] != 0) {
-        w_[w] &= w_[w] - 1;
-        return;
-      }
-    }
   }
 
   /// Visit every set bit in ascending index order: fn(int index).
@@ -143,10 +156,6 @@ class BitMask {
     for (int w = 0; w < kWords; ++w) w_[w] |= o.w_[w];
     return *this;
   }
-  constexpr BitMask& operator^=(const BitMask& o) {
-    for (int w = 0; w < kWords; ++w) w_[w] ^= o.w_[w];
-    return *this;
-  }
 
   friend constexpr BitMask operator&(BitMask a, const BitMask& b) {
     return a &= b;
@@ -154,29 +163,19 @@ class BitMask {
   friend constexpr BitMask operator|(BitMask a, const BitMask& b) {
     return a |= b;
   }
-  friend constexpr BitMask operator^(BitMask a, const BitMask& b) {
-    return a ^= b;
-  }
-  /// Complement within kBits: tail bits of the last word stay cleared so
-  /// any()/count()/== keep exact semantics at non-multiple-of-64 widths.
-  friend constexpr BitMask operator~(const BitMask& a) {
-    BitMask r;
-    for (int w = 0; w < kWords; ++w) r.w_[w] = ~a.w_[w] & live_bits(w);
-    return r;
-  }
 
   friend constexpr bool operator==(const BitMask&, const BitMask&) = default;
 
  private:
   static constexpr int word_of(int n) { return n >> 6; }
   static constexpr uint64_t bit_of(int n) { return uint64_t{1} << (n & 63); }
-  /// Valid-bit mask of storage word `w` (all-ones except a partial tail).
-  static constexpr uint64_t live_bits(int w) {
-    const int used = kBits - w * 64;
-    return used >= 64 ? ~uint64_t{0} : (uint64_t{1} << used) - 1;
-  }
 
   uint64_t w_[kWords] = {};
 };
+
+/// Destination set of a multicast and per-node wake mask: one bit per mesh
+/// node, so the mesh holds at most DestMask::kBits = 256 nodes (k <= 16).
+using DestMask = BitMask<256>;
+static_assert(sizeof(DestMask) == 32, "DestMask is four 64-bit words");
 
 }  // namespace noc

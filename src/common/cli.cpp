@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "common/parse.hpp"
 
@@ -102,16 +104,22 @@ double CliArgs::get_double(const std::string& flag, double dflt) const {
 
 template <typename T>
 T CliArgs::get_at_least(const std::string& flag, T dflt, T lo) const {
+  // Integers parse as int64 and are range-checked against T, so an int
+  // count past INT_MAX exits instead of wrapping into range.
+  using Wide = std::conditional_t<std::is_integral_v<T>, int64_t, T>;
   const Flag* f = find(flag);
-  const T v = f == nullptr ? dflt : parse_or_exit<T>(f->name, f->value);
-  if (v < lo) {
-    std::fprintf(stderr, "invalid --%s %s: need >= %s\n",
+  const Wide v = f == nullptr ? dflt : parse_or_exit<Wide>(f->name, f->value);
+  const Wide hi = std::numeric_limits<T>::max();
+  if (v < lo || v > hi) {
+    std::fprintf(stderr, "invalid --%s %s: need %s %s\n",
                  strip_dashes(flag).c_str(), number_text(v).c_str(),
-                 number_text(lo).c_str());
+                 v < lo ? ">=" : "<=",
+                 number_text(v < lo ? Wide{lo} : hi).c_str());
     std::exit(1);
   }
-  return v;
+  return static_cast<T>(v);
 }
+template int CliArgs::get_at_least(const std::string&, int, int) const;
 template int64_t CliArgs::get_at_least(const std::string&, int64_t,
                                        int64_t) const;
 template double CliArgs::get_at_least(const std::string&, double,
@@ -135,8 +143,7 @@ bool CliArgs::check_unused() const {
 }
 
 int cli_step_threads(const CliArgs& args, int dflt) {
-  return static_cast<int>(
-      args.get_at_least<int64_t>("step-threads", dflt, 1));
+  return args.get_at_least("step-threads", dflt, 1);
 }
 
 }  // namespace noc

@@ -22,8 +22,9 @@ class CliArgs {
   int64_t get_int(const std::string& flag, int64_t dflt) const;
   double get_double(const std::string& flag, double dflt) const;
   std::string get_str(const std::string& flag, const std::string& dflt) const;
-  /// A numeric flag (T = int64_t or double) that must be >= `lo`; a lower
-  /// value exits 1 with `invalid --FLAG V: need >= LO`.
+  /// A numeric flag (T = int, int64_t or double) that must be >= `lo` and
+  /// fit T; a lower value exits 1 with `invalid --FLAG V: need >= LO`, an
+  /// int value above INT_MAX with `invalid --FLAG V: need <= 2147483647`.
   template <typename T>
   T get_at_least(const std::string& flag, T dflt, T lo) const;
 
@@ -48,8 +49,8 @@ class CliArgs {
 
 /// Parse --step-threads (intra-network parallel stepping worker count,
 /// NetworkConfig::step_threads). Defaults to `dflt` (1 = serial); exits
-/// with a clear message on values < 1. Plain int, no simulator types, so
-/// every bench and example shares one validation path.
+/// with a clear message on values < 1 or above INT_MAX. Plain int, no
+/// simulator types, so every bench and example shares one validation path.
 int cli_step_threads(const CliArgs& args, int dflt = 1);
 
 }  // namespace noc

@@ -7,7 +7,7 @@
 // another component (or itself) for execution. Null hooks are no-ops, so
 // ungated networks pay nothing.
 
-#include "common/dest_mask.hpp"
+#include "common/bit_mask.hpp"
 
 namespace noc {
 

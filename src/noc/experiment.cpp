@@ -258,7 +258,7 @@ ExperimentOptions cli_experiment_options(const CliArgs& args,
                                          const MeasureOptions& defaults) {
   ExperimentOptions opt;
   opt.measure = cli_measure_options(args, defaults);
-  opt.threads = static_cast<int>(args.get_int("threads", 0));
+  opt.threads = args.get_at_least("threads", 0, 0);
   return opt;
 }
 
@@ -279,7 +279,7 @@ int cli_mesh_radix(const CliArgs& args, int dflt) {
                  "invalid --k %lld: mesh radix must be in 2..%d "
                  "(DestMask capacity is %d nodes)\n",
                  static_cast<long long>(k), kMaxMeshRadix,
-                 DestMask::kCapacity);
+                 DestMask::kBits);
     std::exit(1);
   }
   return static_cast<int>(k);

@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
+#include "common/rng.hpp"
+
 namespace noc {
 
 namespace {
-
-/// splitmix64: the fixed-width seeded stream every deterministic schedule
-/// in the repo draws from.
-uint64_t splitmix64(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 struct Link {
   NodeId a = 0;
@@ -57,13 +49,13 @@ FaultPlan make_random_fault_plan(const MeshGeometry& geom, uint64_t seed,
   links = std::min<int>(links, static_cast<int>(edges.size()));
   degraded_routers = std::min(degraded_routers, geom.num_nodes());
 
-  uint64_t rng = seed ? seed : 1;
+  SplitMix64 rng(seed ? seed : 1);
   // Partial Fisher-Yates: the first `links` entries are a uniform distinct
   // sample, identically on every platform (no std::shuffle: libstdc++ and
   // libc++ disagree on the draw order).
   for (int i = 0; i < links; ++i) {
     const auto j =
-        i + static_cast<int>(splitmix64(rng) % (edges.size() - i));
+        i + static_cast<int>(rng.next() % (edges.size() - i));
     std::swap(edges[static_cast<size_t>(i)], edges[static_cast<size_t>(j)]);
   }
   std::vector<NodeId> routers(static_cast<size_t>(geom.num_nodes()));
@@ -71,7 +63,7 @@ FaultPlan make_random_fault_plan(const MeshGeometry& geom, uint64_t seed,
     routers[static_cast<size_t>(id)] = id;
   for (int i = 0; i < degraded_routers; ++i) {
     const auto j =
-        i + static_cast<int>(splitmix64(rng) % (routers.size() - i));
+        i + static_cast<int>(rng.next() % (routers.size() - i));
     std::swap(routers[static_cast<size_t>(i)],
               routers[static_cast<size_t>(j)]);
   }

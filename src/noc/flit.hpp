@@ -81,7 +81,7 @@ struct Flit {
   /// VC continues downstream as Escape.
   RouteClass rc = RouteClass::XY;
 };
-static_assert(DestMask::kCapacity - 1 <=
+static_assert(DestMask::kBits - 1 <=
                   std::numeric_limits<decltype(Flit::src)>::max(),
               "Flit::src must hold every node id");
 static_assert(sizeof(Flit) == 64, "a Flit is one cache line");

@@ -1,19 +1,19 @@
 #include "noc/geometry.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdlib>
 
 namespace noc {
 
 // The k <= kMaxMeshRadix contract needs no separate check: for a square
-// mesh it is exactly the delegated capacity bound (16^2 = kCapacity).
+// mesh it is exactly the delegated capacity bound (16^2 = DestMask::kBits).
 MeshGeometry::MeshGeometry(int k) : MeshGeometry(k, k) {}
 
 MeshGeometry::MeshGeometry(int kx, int ky) : kx_(kx), ky_(ky) {
   NOC_EXPECTS(kx >= 2 && ky >= 2);
   // The mask datapath addresses one bit per node: any shape fits as long
   // as the node count does (a 4x64 strip is as legal as 16x16).
-  NOC_EXPECTS(kx * ky <= DestMask::kCapacity);
+  NOC_EXPECTS(kx * ky <= DestMask::kBits);
 }
 
 NodeId MeshGeometry::id(Coord c) const {
@@ -52,23 +52,6 @@ std::vector<NodeId> MeshGeometry::nodes_in(DestMask mask) const {
     if (n < num_nodes()) out.push_back(n);
   });
   return out;
-}
-
-double MeshGeometry::exact_avg_unicast_hops() const {
-  long total = 0, pairs = 0;
-  for (NodeId a = 0; a < num_nodes(); ++a)
-    for (NodeId b = 0; b < num_nodes(); ++b) {
-      if (a == b) continue;
-      total += manhattan(a, b);
-      ++pairs;
-    }
-  return static_cast<double>(total) / static_cast<double>(pairs);
-}
-
-double MeshGeometry::exact_avg_broadcast_hops() const {
-  long total = 0;
-  for (NodeId s = 0; s < num_nodes(); ++s) total += furthest_distance(s);
-  return static_cast<double>(total) / num_nodes();
 }
 
 }  // namespace noc

@@ -3,8 +3,8 @@
 // the destination-set bit masks used by the multicast machinery.
 //
 // Node ids are row-major: id = y * kx + x. Destination sets are DestMask
-// multi-word bitsets (bit i = node i, see common/dest_mask.hpp), which caps
-// the mesh at DestMask::kCapacity = 256 nodes: square meshes up to k <= 16,
+// bitsets (BitMask<256> from common/bit_mask.hpp, bit i = node i), which cap
+// the mesh at DestMask::kBits = 256 nodes: square meshes up to k <= 16,
 // covering the paper's 4x4 chip, the 8x8 comparisons of Table 2, and the
 // large-k scaling study (docs/SCALING.md). Rectangular kx x ky shapes are
 // capacity-checked against the same bound (groundwork for non-square
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/dest_mask.hpp"
+#include "common/bit_mask.hpp"
 
 namespace noc {
 
@@ -22,8 +22,8 @@ using NodeId = int;
 
 /// Largest mesh radix a DestMask can address.
 constexpr int kMaxMeshRadix = 16;
-static_assert(kMaxMeshRadix * kMaxMeshRadix <= DestMask::kCapacity);
-static_assert((kMaxMeshRadix + 1) * (kMaxMeshRadix + 1) > DestMask::kCapacity);
+static_assert(kMaxMeshRadix * kMaxMeshRadix <= DestMask::kBits);
+static_assert((kMaxMeshRadix + 1) * (kMaxMeshRadix + 1) > DestMask::kBits);
 
 struct Coord {
   int x = 0;
@@ -37,7 +37,7 @@ class MeshGeometry {
   /// Square k x k mesh (every existing caller).
   explicit MeshGeometry(int k);
   /// Rectangular kx x ky mesh, capacity-checked against
-  /// DestMask::kCapacity (e.g. 4x8 for the rectangular routing tests).
+  /// DestMask::kBits (e.g. 4x8 for the rectangular routing tests).
   MeshGeometry(int kx, int ky);
 
   /// Radix of a SQUARE mesh; asserts on rectangular geometries so square
@@ -70,14 +70,6 @@ class MeshGeometry {
 
   /// All node ids present in `mask`.
   std::vector<NodeId> nodes_in(DestMask mask) const;
-
-  /// Exact average hop count under uniform random unicast (src != dst),
-  /// by enumeration. Used to cross-check Table 1's printed formula.
-  double exact_avg_unicast_hops() const;
-
-  /// Exact average distance-to-furthest over all sources (broadcast),
-  /// by enumeration. Cross-checks Table 1's printed broadcast formula.
-  double exact_avg_broadcast_hops() const;
 
  private:
   int kx_;

@@ -208,13 +208,4 @@ double Metrics::max_ejection_link_load() const {
   return static_cast<double>(worst) / static_cast<double>(w);
 }
 
-double Metrics::avg_ejection_link_load() const {
-  const Cycle w = window_cycles();
-  if (w <= 0) return 0.0;
-  int64_t total = 0;
-  for (const auto& arr : link_flits_) total += arr[port_index(PortDir::Local)];
-  return static_cast<double>(total) / static_cast<double>(geom_.num_nodes()) /
-         static_cast<double>(w);
-}
-
 }  // namespace noc

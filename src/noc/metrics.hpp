@@ -180,7 +180,6 @@ class Metrics {
   double max_bisection_link_load() const;
   /// Flits per cycle on the busiest ejection (router->NIC) link, L_ejection.
   double max_ejection_link_load() const;
-  double avg_ejection_link_load() const;
 
   /// Number of logical packets generated but not yet fully delivered.
   int64_t open_packets() const { return static_cast<int64_t>(open_.size()); }

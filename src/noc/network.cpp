@@ -253,7 +253,7 @@ Network::~Network() {
 
 void Network::setup_activity() {
   const int n = geom_.num_nodes();
-  NOC_EXPECTS(n <= DestMask::kCapacity);  // one awake bit per node
+  NOC_EXPECTS(n <= DestMask::kBits);  // one awake bit per node
   const bool gated = cfg_.activity_gating;
 
   inject_wake_at_.assign(static_cast<size_t>(n), kCycleNever);

@@ -111,8 +111,6 @@ class Network : public Steppable {
   EnergyCounters& energy() { return energy_; }
   Router& router(NodeId n) { return *routers_[static_cast<size_t>(n)]; }
   Nic& nic(NodeId n) { return *nics_[static_cast<size_t>(n)]; }
-  /// Fault-schedule state (FaultState::enabled() is false for empty plans).
-  const FaultState& faults() const { return fault_state_; }
   /// Telemetry sink; null unless NetworkConfig::telemetry.enabled.
   Telemetry* telemetry() { return telemetry_.get(); }
   const Telemetry* telemetry() const { return telemetry_.get(); }

@@ -1,6 +1,7 @@
 #include "noc/workload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +23,55 @@ const char* workload_kind_name(WorkloadKind k) {
 // ---------------------------------------------------------------------------
 // Trace I/O.
 
+namespace {
+
+/// Hex digits of the widest destination mask.
+constexpr int kMaskHexDigits = DestMask::kBits / 4;
+
+/// Lowercase hex, most-significant digit first, no leading zeros ("0" for
+/// the empty mask): masks wider than 64 bits print as one big hex number,
+/// and single-word masks render exactly as the pre-multiword %" PRIx64 "
+/// format did, so v1 traces from k <= 8 meshes stay byte-identical and
+/// round-trip both ways. `buf` holds kMaskHexDigits + 1 bytes.
+void mask_to_hex(const DestMask& m, char* buf) {
+  int top = DestMask::kWords - 1;  // highest non-zero word (0 if empty)
+  while (top > 0 && m.word(top) == 0) --top;
+  const int bits = top * 64 + std::bit_width(m.word(top));
+  const int digits = std::max(1, (bits + 3) / 4);
+  for (int i = 0; i < digits; ++i) {
+    const int shift = (digits - 1 - i) * 4;
+    buf[i] = "0123456789abcdef"[(m.word(shift / 64) >> (shift % 64)) & 0xF];
+  }
+  buf[digits] = '\0';
+}
+
+/// Parse a hex mask as written by mask_to_hex (case-insensitive). Returns
+/// false on an empty string, a non-hex character, or a value wider than
+/// DestMask::kBits.
+bool mask_from_hex(const char* s, DestMask* out) {
+  const int len = static_cast<int>(std::strlen(s));
+  if (len == 0 || len > kMaskHexDigits) return false;
+  DestMask m;
+  for (int i = 0; i < len; ++i) {
+    const char c = s[i];
+    unsigned nib;
+    if (c >= '0' && c <= '9')
+      nib = static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      nib = static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F')
+      nib = static_cast<unsigned>(c - 'A' + 10);
+    else
+      return false;
+    const int low = (len - 1 - i) * 4;
+    for (; nib != 0; nib &= nib - 1) m.set(low + std::countr_zero(nib));
+  }
+  *out = m;
+  return true;
+}
+
+}  // namespace
+
 bool save_trace(const std::string& path, const Trace& trace) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -30,12 +80,9 @@ bool save_trace(const std::string& path, const Trace& trace) {
   else
     std::fprintf(f, "# noc-trace v1\n");
   std::fprintf(f, "# cycle src dest_mask(hex) length class\n");
-  char mask_hex[DestMask::kMaxHexChars + 1];
+  char mask_hex[kMaskHexDigits + 1];
   for (const TraceRecord& r : trace.records) {
-    // Masks wider than 64 bits print as one big hex number; single-word
-    // masks render exactly as the pre-multiword format did, so v1 traces
-    // from k <= 8 meshes stay byte-identical and round-trip both ways.
-    r.dest_mask.to_hex(mask_hex);
+    mask_to_hex(r.dest_mask, mask_hex);
     std::fprintf(f, "%" PRId64 " %d %s %d %d\n", r.cycle, r.src, mask_hex,
                  r.length, static_cast<int>(r.mc));
   }
@@ -78,7 +125,7 @@ std::shared_ptr<Trace> load_trace(const std::string& path,
       int kx = 0, ky = 0;
       if (std::sscanf(line, "# noc-trace v2 geometry %dx%d", &kx, &ky) == 2) {
         if (kx < 2 || kx > kMaxMeshRadix || ky < 2 || ky > kMaxMeshRadix ||
-            kx * ky > DestMask::kCapacity)
+            kx * ky > DestMask::kBits)
           return trace_fail(f, error, path, lineno,
                             "trace geometry out of range");
         trace->kx = kx;
@@ -108,9 +155,9 @@ std::shared_ptr<Trace> load_trace(const std::string& path,
     int mc = 0;
     if (ntok != 5 || !parse_number(tok[0], &r.cycle) ||
         !parse_number(tok[1], &r.src) ||
-        !DestMask::from_hex(tok[2], r.dest_mask) ||
+        !mask_from_hex(tok[2], &r.dest_mask) ||
         !parse_number(tok[3], &r.length) || !parse_number(tok[4], &mc) ||
-        r.cycle < 0 || r.src < 0 || r.src >= DestMask::kCapacity ||
+        r.cycle < 0 || r.src < 0 || r.src >= DestMask::kBits ||
         r.dest_mask.none() || r.length < 1 || r.length > kMaxPacketFlits ||
         mc < 0 || mc >= kNumMsgClasses)
       return trace_fail(f, error, path, lineno, "malformed trace record");

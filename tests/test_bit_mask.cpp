@@ -1,12 +1,14 @@
-// BitMask<N>: the fixed-width multi-word bitset underneath the router's
-// SoA datapath state (PortMask / VcMask / VcSetMask, docs/PERF.md Layer 5).
-// Word-boundary behavior is the dangerous part -- bit 63/64/65 straddles,
-// the tail-masked complement, extract() slices crossing a word seam -- plus
-// the contract the incremental availability masks rely on: a long random
-// sequence of set/clear operations leaves exactly the same mask a
-// from-scratch recompute would build. The DownstreamState cross-checks live
-// here too, diffing its incrementally-maintained free/credit masks and lane
-// credit sums against a shadow model after every randomized VA/credit event.
+// BitMask<N>: the fixed-width multi-word bitset behind every mask in the
+// simulator -- DestMask (BitMask<256>, destination sets and awake masks)
+// and the router's SoA datapath state (PortMask / VcMask / VcSetMask,
+// docs/PERF.md Layer 5). Word-boundary behavior is the dangerous part --
+// bit 63/64/65 straddles, first_n() fills ending on either side of a seam,
+// extract() slices crossing a word seam -- plus the contract the
+// incremental availability masks rely on: a long random sequence of
+// set/clear operations leaves exactly the same mask a from-scratch
+// recompute would build. The DownstreamState cross-checks live here too,
+// diffing its incrementally-maintained free/credit masks and lane credit
+// sums against a shadow model after every randomized VA/credit event.
 #include <gtest/gtest.h>
 
 #include <bitset>
@@ -35,11 +37,11 @@ TEST(BitMask, SingleWordBasics) {
   EXPECT_FALSE(m.test(1));
   EXPECT_TRUE(m.test(4));
 
-  m.clear_lowest();
+  m.clear(0);
   EXPECT_EQ(m.lowest(), 4);
   m.clear(4);
   EXPECT_TRUE(m.none());
-  m.clear_lowest();  // no-op when empty
+  m.clear(4);  // clearing a clear bit is a no-op
   EXPECT_TRUE(m.none());
 }
 
@@ -58,11 +60,11 @@ TEST(BitMask, WordBoundarySetClearLowest) {
   EXPECT_EQ(m.word(1), (uint64_t{1} << 15) | 1u);
 
   EXPECT_EQ(m.lowest(), 63);
-  m.clear_lowest();
+  m.clear(63);
   EXPECT_EQ(m.lowest(), 64);  // crosses into word 1
   m.clear(64);
   EXPECT_EQ(m.lowest(), 79);
-  m.clear_lowest();
+  m.clear(79);
   EXPECT_EQ(m.lowest(), 80);
   EXPECT_TRUE(m.none());
 }
@@ -78,12 +80,13 @@ TEST(BitMask, IterationOrderAcrossWords) {
 }
 
 TEST(BitMask, OperatorsKeepTailClear) {
-  // 70-bit mask: word 1 has only 6 live bits, so ~ must not set bits 70..127
-  // (count/any/== would otherwise see phantom bits).
+  // 70-bit mask: word 1 has only 6 live bits, so a complement built as
+  // first_n(kBits).andnot(m) must not set bits 70..127 (count/any/== would
+  // otherwise see phantom bits).
   BitMask<70> m;
   m.set(3);
   m.set(69);
-  const auto inv = ~m;
+  const auto inv = BitMask<70>::first_n(70).andnot(m);
   EXPECT_EQ(inv.count(), 68);
   EXPECT_FALSE(inv.test(3));
   EXPECT_FALSE(inv.test(69));
@@ -92,9 +95,33 @@ TEST(BitMask, OperatorsKeepTailClear) {
 
   EXPECT_EQ((m & inv).count(), 0);
   EXPECT_EQ((m | inv).count(), 70);
-  EXPECT_EQ((m ^ m).count(), 0);
   EXPECT_EQ(m.andnot(m).count(), 0);
   EXPECT_EQ(inv.andnot(m), inv);
+}
+
+TEST(BitMask, FirstNAcrossWords) {
+  // Fills ending below, on and just past each seam of the DestMask width,
+  // and the full width: bits [0, n) set, bit n and above clear.
+  for (int n : {0, 63, 64, 65, 255, 256}) {
+    const auto m = DestMask::first_n(n);
+    EXPECT_EQ(m.count(), n) << n;
+    EXPECT_EQ(m.lowest(), n == 0 ? DestMask::kBits : 0) << n;
+    if (n > 0) {
+      EXPECT_TRUE(m.test(n - 1)) << n;
+    }
+    if (n < DestMask::kBits) {
+      EXPECT_FALSE(m.test(n)) << n;
+    }
+  }
+  EXPECT_EQ(DestMask::first_n(64).word(0), ~uint64_t{0});
+  EXPECT_EQ(DestMask::first_n(64).word(1), 0u);
+  EXPECT_EQ(DestMask::first_n(65).word(1), 1u);
+  EXPECT_EQ(DestMask::first_n(255).word(3), ~uint64_t{0} >> 1);
+  // A width that ends mid-word: the tail word holds exactly 16 live bits.
+  const auto full80 = BitMask<80>::first_n(80);
+  EXPECT_EQ(full80.count(), 80);
+  EXPECT_EQ(full80.word(0), ~uint64_t{0});
+  EXPECT_EQ(full80.word(1), 0xFFFFu);
 }
 
 TEST(BitMask, ExtractWithinAndAcrossWords) {
@@ -159,6 +186,7 @@ TEST(BitMask, RandomizedIncrementalVsRecomputeNarrow) {
 TEST(BitMask, RandomizedIncrementalVsRecomputeMultiWord) {
   random_cross_check<80>(0x5eed03);
   random_cross_check<130>(0x5eed04);
+  random_cross_check<256>(0x5eed05);  // the DestMask width
 }
 
 // DownstreamState keeps free/credit availability as incrementally-updated

@@ -5,6 +5,7 @@
 // config.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -129,13 +130,38 @@ TEST(CliArgsDeathTest, ValuesBelowTheirBoundExitNamingTheFlag) {
               "invalid --step-threads 0: need >= 1");
 }
 
+TEST(CliArgsDeathTest, IntFlagsOutsideIntOrBelowZeroExitNamingTheFlag) {
+  // 4294967297 = 2^32 + 1 reads as 1 once narrowed to int, so a count past
+  // INT_MAX must exit, not run with one worker or one point. A negative
+  // worker count is not another spelling of "all cores" (0 is).
+  Argv step{"--step-threads", "4294967297"};
+  EXPECT_EXIT(cli_step_threads(step.parse()), ::testing::ExitedWithCode(1),
+              "invalid --step-threads 4294967297: need <= 2147483647");
+  const MeasureOptions defaults;
+  Argv threads{"--threads", "-2"};
+  EXPECT_EXIT(cli_experiment_options(threads.parse(), defaults),
+              ::testing::ExitedWithCode(1), "invalid --threads -2: need >= 0");
+  Argv wide_threads{"--threads", "4294967297"};
+  EXPECT_EXIT(cli_experiment_options(wide_threads.parse(), defaults),
+              ::testing::ExitedWithCode(1),
+              "invalid --threads 4294967297: need <= 2147483647");
+  // `campaign run` reads --threads and --max-points with the same call.
+  Argv points{"--max-points", "4294967297"};
+  EXPECT_EXIT(points.parse().get_at_least("max-points", 0, 0),
+              ::testing::ExitedWithCode(1),
+              "invalid --max-points 4294967297: need <= 2147483647");
+}
+
 TEST(CliArgs, ValuesAtTheirBoundPass) {
-  Argv argv{"--offered", "0", "--sample-every", "0", "--step-threads", "1"};
+  Argv argv{"--offered", "0", "--sample-every", "0", "--step-threads", "1",
+            "--threads", "0", "--max-points", "2147483647"};
   const CliArgs args = argv.parse();
   EXPECT_EQ(args.get_at_least("offered", 0.15, 0.0), 0.0);
   EXPECT_EQ(args.get_at_least<int64_t>("sample-every", 50, 0), 0);
   EXPECT_EQ(args.get_at_least<int64_t>("trace-every", 64, 0), 64);
   EXPECT_EQ(cli_step_threads(args), 1);
+  EXPECT_EQ(cli_experiment_options(args, MeasureOptions{}).threads, 0);
+  EXPECT_EQ(args.get_at_least("max-points", 0, 0), INT_MAX);
   EXPECT_TRUE(args.check_unused());
 }
 

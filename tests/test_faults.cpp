@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "noc/experiment.hpp"
 #include "noc/fault.hpp"
@@ -54,6 +55,32 @@ TEST(FaultPlan, RandomPlanIsDeterministic) {
   for (size_t i = 0; i < a.events.size(); ++i)
     differs |= a.events[i].a != c.events[i].a || a.events[i].b != c.events[i].b;
   EXPECT_TRUE(differs);
+}
+
+TEST(FaultPlan, RandomPlanDrawsAPinnedSchedule) {
+  // The draws are a pure function of the seed, identical on every
+  // platform: campaign fault points and the degraded microbench rows
+  // replay this exact schedule, so a change to the stream shows here.
+  const FaultPlan p = make_random_fault_plan(MeshGeometry(4), 42, 3, 2, 100, 50);
+  const FaultEvent want[] = {
+      {100, FaultKind::LinkDown, 7, 11},
+      {100, FaultKind::LinkDown, 1, 5},
+      {100, FaultKind::LinkDown, 2, 3},
+      {100, FaultKind::RouterDegrade, 4, 4},
+      {100, FaultKind::RouterDegrade, 11, 11},
+      {150, FaultKind::LinkUp, 7, 11},
+      {150, FaultKind::LinkUp, 1, 5},
+      {150, FaultKind::LinkUp, 2, 3},
+      {150, FaultKind::RouterRestore, 4, 4},
+      {150, FaultKind::RouterRestore, 11, 11},
+  };
+  ASSERT_EQ(p.events.size(), std::size(want));
+  for (size_t i = 0; i < p.events.size(); ++i) {
+    EXPECT_EQ(p.events[i].at, want[i].at) << "event " << i;
+    EXPECT_EQ(p.events[i].kind, want[i].kind) << "event " << i;
+    EXPECT_EQ(p.events[i].a, want[i].a) << "event " << i;
+    EXPECT_EQ(p.events[i].b, want[i].b) << "event " << i;
+  }
 }
 
 TEST(FaultState, PristineCombTreeShape) {

@@ -93,7 +93,6 @@ TEST(Metrics, LinkLoadAccounting) {
   m.end_window(20);
   EXPECT_DOUBLE_EQ(m.max_bisection_link_load(), 0.5);
   EXPECT_DOUBLE_EQ(m.max_ejection_link_load(), 0.2);
-  EXPECT_DOUBLE_EQ(m.avg_ejection_link_load(), 4.0 / 16 / 20);
 }
 
 }  // namespace

@@ -376,6 +376,37 @@ TEST(TraceWorkload, LargeKMultiWordMaskFileRoundTrip) {
   EXPECT_EQ(net.metrics().total_completed(), 3);
 }
 
+TEST(TraceWorkload, SaveWritesMasksAsOneHexNumber) {
+  // The mask column is lowercase hex without leading zeros: single-word
+  // masks read exactly like the pre-multiword %x output (v1 compat), wider
+  // ones as one big number, up to the 64-digit bit-255 mask.
+  Trace trace;
+  trace.records.push_back({5, 0, DestMask::first_n(5), 1, MsgClass::Request});
+  trace.records.push_back({9, 1, DestMask::bit(0) | DestMask::bit(64), 5,
+                           MsgClass::Response});
+  trace.records.push_back({12, 2, DestMask::bit(255), 1, MsgClass::Request});
+  const std::string path = ::testing::TempDir() + "noc_trace_hex.txt";
+  ASSERT_TRUE(save_trace(path, trace));
+  std::string text;
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f))
+    text += static_cast<char>(c);
+  std::fclose(f);
+  EXPECT_EQ(text,
+            "# noc-trace v1\n"
+            "# cycle src dest_mask(hex) length class\n"
+            "5 0 1f 1 0\n"
+            "9 1 10000000000000001 5 1\n"
+            "12 2 8" + std::string(63, '0') + " 1 0\n");
+  const auto loaded = load_trace(path);
+  ASSERT_NE(loaded, nullptr);
+  ASSERT_EQ(loaded->records.size(), trace.records.size());
+  for (size_t i = 0; i < trace.records.size(); ++i)
+    EXPECT_EQ(loaded->records[i], trace.records[i]) << "record " << i;
+  std::remove(path.c_str());
+}
+
 TEST(TraceWorkload, LoadRejectsMissingAndMalformedFiles) {
   EXPECT_EQ(load_trace("/nonexistent/definitely/missing.trace"), nullptr);
   const std::string path = ::testing::TempDir() + "noc_trace_bad.txt";
@@ -399,12 +430,14 @@ TEST(TraceWorkload, LoadRejectsMissingAndMalformedFiles) {
   // Every field is one whole token: no suffixes, no extra tokens, no
   // fractional class, no cycle that only fits after saturating.
   // A line past the read buffer must not split into two records.
+  // A mask is hex digits only, at most DestMask::kBits / 4 of them.
   const std::string line_too_long =
       "10 3 1f 1 0" + std::string(250, ' ') + "11 3 1f 1 0";
+  const std::string mask_too_wide = "10 3 1" + std::string(64, '0') + " 1 0";
   for (const char* bad :
        {"10 3 1f 1 0garbage", "10 3 1f 1 0 extra", "10 3 1f 1 1.7",
         "99999999999999999999 3 1f 1 0", "10 3x 1f 1 0", "10 3 1f 1x 0",
-        line_too_long.c_str()}) {
+        "10 3 xyz 1 0", mask_too_wide.c_str(), line_too_long.c_str()}) {
     f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fprintf(f, "# noc-trace v1\n%s\n", bad);
@@ -414,14 +447,15 @@ TEST(TraceWorkload, LoadRejectsMissingAndMalformedFiles) {
     EXPECT_NE(error.find(":2: "), std::string::npos) << error;
   }
   // The strict parser still takes well-formed records, with or without a
-  // final newline.
+  // final newline, and hex digits in either case.
   f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
-  std::fprintf(f, "# noc-trace v1\n10 3 1f 1 0\n\t12  4 10000000000000000 5 1");
+  std::fprintf(f, "# noc-trace v1\n10 3 1F 1 0\n\t12  4 10000000000000000 5 1");
   std::fclose(f);
   const auto ok = load_trace(path);
   ASSERT_NE(ok, nullptr);
   ASSERT_EQ(ok->records.size(), 2u);
+  EXPECT_EQ(ok->records[0].dest_mask, DestMask{0x1f});
   EXPECT_EQ(ok->records[1].cycle, 12);
   EXPECT_EQ(ok->records[1].src, 4);
   EXPECT_TRUE(ok->records[1].dest_mask.test(64));

@@ -104,8 +104,9 @@ bool build_manifest(const CliArgs& args, const std::string& path,
 int cmd_run(const Manifest& m, const ResultStore& store,
             const CliArgs& args) {
   RunOptions opt;
-  opt.threads = static_cast<int>(args.get_int("threads", 0));
-  opt.max_points = static_cast<int>(args.get_int("max-points", -1));
+  opt.threads = args.get_at_least("threads", 0, 0);
+  if (args.has("max-points"))
+    opt.max_points = args.get_at_least("max-points", 0, 0);
   opt.verbose = !args.has("quiet");
   if (!args.check_unused()) return 1;
   std::printf("campaign '%s': %zu points -> %s\n", m.name.c_str(),

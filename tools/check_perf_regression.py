@@ -82,15 +82,9 @@ def main():
                     help="regex of benchmark names to ignore")
     ap.add_argument("--normalize", action="store_true",
                     help="compare machine-normalized ratios (see module doc)")
-    ap.add_argument("--allow-slower", default=None, metavar="REGEX",
-                    help="regex of benchmarks expected slower than baseline: "
-                         "matching rows are reported but exempt from the "
-                         "threshold and excluded from the --normalize median "
-                         "(e.g. the Degraded fault rows, docs/FAULTS.md)")
     args = ap.parse_args()
 
     skip_re = re.compile(args.skip)
-    allow_re = re.compile(args.allow_slower) if args.allow_slower else None
     try:
         current = load_items_per_second(args.current, skip_re)
     except (OSError, json.JSONDecodeError) as e:
@@ -115,8 +109,7 @@ def main():
 
     if args.normalize:
         common = sorted(n for n in set(current) & set(baseline)
-                        if baseline[n] > 0
-                        and not (allow_re and allow_re.search(n)))
+                        if baseline[n] > 0)
         if not common:
             print("error: --normalize needs benchmarks common to both files")
             return 2
@@ -142,11 +135,8 @@ def main():
         ratio = cur / base
         flag = ""
         if ratio < 1.0 - args.threshold:
-            if allow_re and allow_re.search(name):
-                flag = "  (slower, allowed)"
-            else:
-                failures.append((name, base, cur, ratio))
-                flag = "  <-- REGRESSION"
+            failures.append((name, base, cur, ratio))
+            flag = "  <-- REGRESSION"
         print(f"{name:45s} {base:12.3e} {cur:12.3e} {ratio:6.2f}x{flag}")
 
     missing = sorted(set(baseline) - set(current))
