@@ -140,6 +140,14 @@ class BitMask {
     NOC_EXPECTS(i >= 0 && i < kWords);
     return w_[i];
   }
+  /// Overwrite word `i` (bits 64i .. 64i+63) whole. `v` may not carry a
+  /// bit at or above kBits.
+  constexpr void set_word(int i, uint64_t v) {
+    NOC_EXPECTS(i >= 0 && i < kWords);
+    if constexpr (kBits % 64 != 0)
+      NOC_EXPECTS(i < kWords - 1 || (v >> (kBits % 64)) == 0);
+    w_[i] = v;
+  }
 
   /// this & ~other without materializing the complement.
   constexpr BitMask andnot(const BitMask& other) const {

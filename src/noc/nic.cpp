@@ -17,12 +17,30 @@ Nic::Nic(NodeId node, const MeshGeometry& geom, const RouterConfig& router_cfg,
       rx_rr_(router_cfg.vc.total_vcs()) {
   NOC_EXPECTS(source_ != nullptr);
   ds_.configure(router_cfg.vc);
-  // Pre-size the packet queues past any below-saturation high-water mark
-  // (NIC broadcast duplication bursts k^2-1 copies at once), so steady-state
-  // injection never regrows the ring (docs/PERF.md). Saturated runs with
-  // unbounded queue growth still regrow -- by doubling, so rarely.
+  // Pre-size the packet queues past any below-saturation high-water mark,
+  // so steady-state injection never regrows the ring (docs/PERF.md). A
+  // duplicated broadcast is one entry, so this counts logical packets, not
+  // copies; at 8 the saturated and closed-loop zero-alloc configs still
+  // regrow mid-window. Saturated runs with unbounded queue growth still
+  // regrow -- by doubling, so rarely.
   for (auto& q : queue_) q.reserve(256);
 }
+
+namespace {
+
+/// The next unicast copy of a duplicated broadcast `entry`: its lowest
+/// destination, with the id after `entry.id` (see Nic::submit_packet).
+/// Each copy is its own unicast, so its route class is re-stamped: O1TURN
+/// spreads the copies over both orders and adaptive copies roam.
+Packet next_copy(const Packet& entry, RoutePolicy policy) {
+  Packet copy = entry;
+  copy.id += uint64_t{1} << 56;
+  copy.dest_mask = MeshGeometry::node_mask(entry.dest_mask.lowest());
+  copy.rc = route_class_for_packet(policy, copy);
+  return copy;
+}
+
+}  // namespace
 
 PacketKind Nic::classify(const Packet& pkt) const {
   if (pkt.dest_mask.count() > 1) return PacketKind::Broadcast;
@@ -88,35 +106,30 @@ void Nic::submit_packet(Packet pkt) {
     }
   }
 
-  const bool is_multicast = pkt.dest_mask.count() > 1;
-  if (is_multicast && !router_cfg_.multicast) {
-    // Routers cannot fork: duplicate into unicast copies (paper Sec 2.3).
-    // The source's own copy is delivered locally without network traversal.
-    const DestMask self_bit = MeshGeometry::node_mask(node_);
+  if (pkt.dest_mask.count() > 1 && !router_cfg_.multicast) {
+    // Routers cannot fork: the NIC sends one unicast copy per destination
+    // (paper Sec 2.3). The source's own copy is delivered locally without
+    // network traversal.
     if (pkt.dest_mask.test(node_)) {
       Packet self = pkt;
-      self.dest_mask = self_bit;
+      self.dest_mask = MeshGeometry::node_mask(node_);
       FlitList flits;
       segment_packet_into(self, flits);
       for (const Flit& f : flits) {
         metrics_.on_flit_received(f.logical_id, f, pkt.gen_cycle);
         source_->on_delivery(f, pkt.gen_cycle);
       }
+      pkt.dest_mask.clear(node_);
     }
-    uint64_t copy_idx = 0;
-    // Iterate destination bits directly (ascending node id, like
-    // MeshGeometry::nodes_in) without materializing a vector.
-    pkt.dest_mask.andnot(self_bit).for_each([&](int d) {
-      Packet copy = pkt;
-      copy.logical_id = pkt.effective_logical_id();
-      copy.id = (pkt.id ^ 0x5a5a5a5aULL) + (++copy_idx << 56);
-      copy.dest_mask = MeshGeometry::node_mask(d);
-      // Each duplicated copy is its own unicast: re-stamp so O1TURN
-      // spreads the copies over both orders and adaptive copies roam.
-      copy.rc = route_class_for_packet(router_cfg_.routing, copy);
-      enqueue_for_send(std::move(copy));
-    });
-    return;
+    // The rest stays one queue entry; try_activate cuts the copies from it
+    // in ascending destination order as each wins a VC. Copy i (from 1)
+    // gets id (id ^ 0x5a5a5a5a) + (i << 56), so the entry's id is the last
+    // cut copy's id and only the remaining destinations are stored.
+    pkt.logical_id = pkt.effective_logical_id();
+    pkt.id ^= 0x5a5a5a5aULL;
+    // A single remaining destination is the final copy itself: only
+    // duplicated broadcasts stay multi-destination in this NIC's queues.
+    if (pkt.dest_mask.count() == 1) pkt = next_copy(pkt, router_cfg_.routing);
   }
   enqueue_for_send(std::move(pkt));
 }
@@ -129,7 +142,20 @@ bool Nic::try_activate(MsgClass mc) {
   const int vc = ds_.allocate_vc(mc);
   if (vc < 0) return false;
   ++energy_.vc_allocations;
-  segment_packet_into(queue_[m].pop_front(), tx.flits);
+  Packet& head = queue_[m].front();
+  if (router_cfg_.multicast || head.dest_mask.count() == 1) {
+    segment_packet_into(queue_[m].pop_front(), tx.flits);
+  } else {
+    // A duplicated broadcast: send its next copy and keep the rest queued,
+    // as the final copy once one destination remains, so later packets of
+    // this class still leave after its last copy.
+    const Packet copy = next_copy(head, router_cfg_.routing);
+    segment_packet_into(copy, tx.flits);
+    head.id = copy.id;
+    head.dest_mask.clear(head.dest_mask.lowest());
+    if (head.dest_mask.count() == 1)
+      head = next_copy(head, router_cfg_.routing);
+  }
   tx.next = 0;
   tx.vc = vc;
   return true;

@@ -14,7 +14,10 @@
 //
 // When the routers lack multicast support the NIC duplicates a broadcast
 // into k^2-1 unicast copies (paper Sec 2.3, TILE64/Teraflops behaviour);
-// its own copy is delivered locally without entering the network.
+// its own copy is delivered locally without entering the network. The
+// rest stay one queue entry: each copy is cut from it at activation, when
+// the copy's message class wins a local VC, and the entry leaves the queue
+// with its last copy. A queued k=16 broadcast is one Packet, not 255.
 //
 // Ejection side: flits arrive from the router's Local output into small
 // per-VC buffers and drain at 1 flit/cycle -- the ejection bandwidth that

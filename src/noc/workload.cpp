@@ -47,24 +47,28 @@ void mask_to_hex(const DestMask& m, char* buf) {
 
 /// Parse a hex mask as written by mask_to_hex (case-insensitive). Returns
 /// false on an empty string, a non-hex character, or a value wider than
-/// DestMask::kBits.
+/// DestMask::kBits. Counted from the end, each run of 16 digits is one
+/// whole word.
 bool mask_from_hex(const char* s, DestMask* out) {
   const int len = static_cast<int>(std::strlen(s));
   if (len == 0 || len > kMaskHexDigits) return false;
   DestMask m;
-  for (int i = 0; i < len; ++i) {
-    const char c = s[i];
-    unsigned nib;
-    if (c >= '0' && c <= '9')
-      nib = static_cast<unsigned>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      nib = static_cast<unsigned>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F')
-      nib = static_cast<unsigned>(c - 'A' + 10);
-    else
-      return false;
-    const int low = (len - 1 - i) * 4;
-    for (; nib != 0; nib &= nib - 1) m.set(low + std::countr_zero(nib));
+  for (int w = 0, end = len; end > 0; ++w, end -= 16) {
+    uint64_t word = 0;
+    for (int i = std::max(0, end - 16); i < end; ++i) {
+      const char c = s[i];
+      unsigned nib;
+      if (c >= '0' && c <= '9')
+        nib = static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f')
+        nib = static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F')
+        nib = static_cast<unsigned>(c - 'A' + 10);
+      else
+        return false;
+      word = word << 4 | nib;
+    }
+    m.set_word(w, word);
   }
   *out = m;
   return true;
@@ -205,9 +209,16 @@ ClosedLoopSource::ClosedLoopSource(const MeshGeometry& geom,
       rng_(node_rng_seed(traffic.seed, node)) {
   NOC_EXPECTS(geom.num_nodes() >= 2);
   NOC_EXPECTS(cfg.validate() == nullptr);
-  // Worst case every outstanding probe in the system is owned here.
-  pending_.reserve(
-      static_cast<size_t>(geom.num_nodes() * cfg.window) + 8);
+  // Owed responses are bounded twice: by the system's outstanding misses,
+  // n * window, and by the directory latency. tick_eject drains at
+  // most one flit per cycle, so at most one probe reaches this owner per
+  // cycle and each owed response is due directory_latency cycles after
+  // its probe. tick_inject runs first in the cycle, and there generate()
+  // returns a due response before it starts a new miss, so every
+  // response is popped by the cycle after it falls due. At most
+  // directory_latency + 1 wait at once (on_delivery asserts it).
+  pending_.reserve(static_cast<size_t>(std::min<Cycle>(
+      geom.num_nodes() * cfg.window, cfg.directory_latency + 1)));
 }
 
 void ClosedLoopSource::do_set_rate(double rate) {
@@ -279,6 +290,8 @@ void ClosedLoopSource::on_delivery(const Flit& flit, Cycle now) {
       // flit, so the leg is measurable right here without cross-node state.
       if (in_window_)
         window_probe_leg_.add(now - flit.gen_cycle);
+      NOC_ASSERT(static_cast<Cycle>(pending_.size()) <=
+                 cfg_.directory_latency);
       pending_.push_back(
           {now + cfg_.directory_latency, flit.tag, flit.src});
     }

@@ -171,8 +171,9 @@ class ClosedLoopSource final : public TrafficSource {
   Cycle next_miss_eligible_ = 0;
   InlineVec<OutstandingMiss, kMaxMshrWindow> outstanding_;
   /// Responses this node owes, in due order (deliveries arrive in
-  /// nondecreasing `now`, so appends keep the deque sorted). Bounded by the
-  /// system-wide outstanding cap n * window, pre-sized in the constructor.
+  /// nondecreasing `now`, so appends keep the deque sorted). At most
+  /// min(n * window, directory_latency + 1) wait at once (the argument is
+  /// in the constructor), and the ring is pre-sized to that bound.
   VecDeque<PendingResponse> pending_;
   int64_t issued_ = 0;
   int64_t completed_ = 0;

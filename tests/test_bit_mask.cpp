@@ -124,6 +124,19 @@ TEST(BitMask, FirstNAcrossWords) {
   EXPECT_EQ(full80.word(1), 0xFFFFu);
 }
 
+TEST(BitMask, SetWordKeepsTailClear) {
+  // A whole-word write: on BitMask<80> the top word has 16 live bits, and
+  // a value reaching past them is refused rather than stored.
+  BitMask<80> m;
+  m.set_word(0, ~uint64_t{0});
+  m.set_word(1, 0xFFFF);
+  EXPECT_EQ(m, BitMask<80>::first_n(80));
+  m.set_word(0, 0);
+  EXPECT_EQ(m.count(), 16);
+  EXPECT_EQ(m.lowest(), 64);
+  EXPECT_DEATH(m.set_word(1, 0x10000), "Precondition");
+}
+
 TEST(BitMask, ExtractWithinAndAcrossWords) {
   BitMask<80> m;
   m.set(2);

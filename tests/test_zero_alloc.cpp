@@ -129,6 +129,46 @@ TEST(ZeroAlloc, ClosedLoopWithNicDuplicationSteadyState) {
   EXPECT_EQ(allocations_during_run(cfg, 4000, 6000), 0u);
 }
 
+TEST(ZeroAlloc, ClosedLoopOwedResponsesAtTheirBound) {
+  // Saturating closed loop at the widest window: each node owes at most
+  // directory_latency + 1 responses at once, and the owed-response ring is
+  // pre-sized to that bound (not to n * window), so it never regrows.
+  NetworkConfig cfg = NetworkConfig::proposed(8);
+  cfg.workload.kind = WorkloadKind::ClosedLoop;
+  cfg.workload.closed.window = 64;
+  cfg.workload.closed.issue_prob = 1.0;
+  cfg.workload.closed.directory_latency = 10;
+  EXPECT_EQ(allocations_during_run(cfg, 3000, 4000), 0u);
+}
+
+TEST(ZeroAlloc, TwoBroadcastsAtOneBaselineK16Nic) {
+  // Without router multicast a k=16 broadcast is 255 unicast copies. Two
+  // submitted at once are 510 copies, more than the NIC's 256-entry
+  // packet ring holds; each broadcast stays one queue entry until its
+  // last copy leaves, so submitting both and draining them touches no
+  // heap. A first broadcast warms the network's bookkeeping up.
+  NetworkConfig cfg = NetworkConfig::baseline_3stage(16);
+  cfg.traffic.offered_flits_per_node_cycle = 0.0;
+  Network net(cfg);
+  Simulation sim(net);
+  Packet p;
+  p.src = 0;
+  p.dest_mask = net.geom().all_nodes_mask();
+  p.id = 7;
+  net.nic(0).submit_packet(p);
+  sim.run(1000);
+  p.gen_cycle = sim.now();
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  p.id = 8;
+  net.nic(0).submit_packet(p);
+  p.id = 9;
+  net.nic(0).submit_packet(p);
+  sim.run(1000);
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(net.metrics().total_completed(), 3);
+  EXPECT_EQ(after - before, 0u);
+}
+
 TEST(ZeroAlloc, TraceReplaySteadyState) {
   // Record a trace first (recording may allocate freely), then verify the
   // replay datapath is allocation-free across the measured window.
